@@ -29,15 +29,10 @@ from .features import (
 )
 from .selection import (
     DepthFilters,
-    SelectionRequest,
     StrategyConfig,
-    coreset_score,
     coreset_select,
     image_level_select,
-    select_confidence,
-    select_depth_extreme,
-    select_ens_depth_var,
-    select_random,
+    rank_pool,
 )
 from .simulation import (
     CampaignConfig,

@@ -11,20 +11,10 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .dataio import DatasetError, load_dataset, write_dataset
+from .dataio import DatasetError, load_dataset, read_raw_export, write_dataset
 from .features import FusedCosineMetric
 from .metrics import Curve, naurc
-from .records import (
-    Box2D,
-    CameraModel,
-    Dataset,
-    GroundTruthObject,
-    InstanceRecord,
-    ViewSpec,
-    validate_dataset,
-)
+from .records import Dataset, validate_dataset
 from .selection import CORESET_KINDS, STRATEGY_KINDS, DepthFilters, StrategyConfig
 from .simulation import CampaignConfig, covering_radius_hook, run_campaign
 
@@ -39,90 +29,16 @@ def _config_hash(obj) -> str:
 # ---------------------------------------------------------------- ingest
 
 
-def _parse_raw(path: Path):
-    header = None
-    instances: list[tuple[InstanceRecord, dict]] = []
-    gts: list[GroundTruthObject] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            kind = obj.get("kind")
-            if kind == "header":
-                header = obj
-            elif kind == "instance":
-                box = obj["box2d"]
-                rec = InstanceRecord(
-                    image_id=str(obj["image_id"]),
-                    instance_id=int(obj["instance_id"]),
-                    class_id=int(obj["class_id"]),
-                    box2d=Box2D(float(box["cx"]), float(box["cy"]), float(box["w"]), float(box["h"])),
-                    features={
-                        name: np.asarray(vec, dtype=np.float64)
-                        for name, vec in obj.get("features", {}).items()
-                    },
-                    pred_depth=None if obj.get("pred_depth") is None else float(obj["pred_depth"]),
-                    confidence=None if obj.get("confidence") is None else float(obj["confidence"]),
-                    aux_depths=None
-                    if obj.get("aux_depths") is None
-                    else tuple(float(x) for x in obj["aux_depths"]),
-                )
-                instances.append(rec)
-            elif kind == "gt":
-                cx, cy = obj["center2d"]
-                gts.append(
-                    GroundTruthObject(
-                        gt_id=int(obj["gt_id"]),
-                        image_id=str(obj["image_id"]),
-                        class_id=int(obj["class_id"]),
-                        center2d=(float(cx), float(cy)),
-                        depth=float(obj["depth"]),
-                        pixel_height=float(obj["pixel_height"]),
-                    )
-                )
-            else:
-                raise DatasetError(f"{path}:{lineno}: unknown record kind {kind!r}")
-    if header is None:
-        raise DatasetError(f"{path}: raw input has no header line")
-    return header, instances, gts
-
-
 def cmd_ingest(args) -> int:
-    raw_path = Path(args.input)
     try:
-        header, instances, gts = _parse_raw(raw_path)
-    except (DatasetError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        dataset = read_raw_export(args.input)
+    except DatasetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if not instances:
+    if not dataset.instances:
         print("error: empty dataset (no instance records)", file=sys.stderr)
         return 1
-    seen: set[int] = set()
-    dupes = sorted({r.instance_id for r in instances if r.instance_id in seen or seen.add(r.instance_id)})
-    if dupes:
-        print(f"error: duplicate instance_id values: {dupes}", file=sys.stderr)
-        return 1
-
-    views = tuple(
-        ViewSpec(str(v["name"]), int(v["dim"]), float(v["lambda"])) for v in header.get("views", [])
-    )
-    cam = header.get("camera", {})
-    images: dict[str, int] = {}
-    for r in instances:
-        images.setdefault(r.image_id, 0)
-    for g in gts:
-        images.setdefault(g.image_id, 0)
-        images[g.image_id] += 1
-    dataset = Dataset(
-        camera=CameraModel(float(cam["fx"]), float(cam["fy"])),
-        views=views,
-        instances=tuple(instances),
-        ground_truth=tuple(gts),
-        images=images,
-    )
     violations = validate_dataset(dataset)
     if violations:
         for v in violations:

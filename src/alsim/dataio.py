@@ -9,7 +9,11 @@ per feature view. The manifest starts with a header line::
      "blobs": {view_name: relative_path, ...}}
 
 followed by ``{"kind": "instance", ...}`` and ``{"kind": "gt", ...}``
-lines in any order. Blob layout, bit-exact:
+lines in any order. A raw export (``alsim ingest`` input) has the same
+lines with no ``blobs``; each instance line carries its vectors inline as
+``"features": {view_name: [...], ...}``. Both go through one line parser
+and one assembly step, so they are refused for the same faults. Blob
+layout, bit-exact:
 
     magic ``ALF1`` | uint32 LE count | uint32 LE dim | count*dim float32 LE
 
@@ -22,6 +26,8 @@ from __future__ import annotations
 import json
 import re
 import struct
+from array import array
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +42,7 @@ from .records import (
     validate_dataset,
 )
 
-__all__ = ["DatasetError", "read_blob", "write_blob", "load_dataset", "write_dataset"]
+__all__ = ["DatasetError", "read_blob", "write_blob", "load_dataset", "read_raw_export", "write_dataset"]
 
 _MAGIC = b"ALF1"
 
@@ -77,10 +83,10 @@ def _parse_views(header: dict) -> tuple[ViewSpec, ...]:
     return tuple(views)
 
 
-def _parse_instance(obj: dict) -> InstanceRecord:
+def _parse_instance(obj: dict, inline: dict[str, tuple[array, list[int]]]) -> InstanceRecord:
     box = obj["box2d"]
     aux = obj.get("aux_depths")
-    return InstanceRecord(
+    record = InstanceRecord(
         image_id=str(obj["image_id"]),
         instance_id=int(obj["instance_id"]),
         class_id=int(obj["class_id"]),
@@ -90,6 +96,11 @@ def _parse_instance(obj: dict) -> InstanceRecord:
         confidence=None if obj.get("confidence") is None else float(obj["confidence"]),
         aux_depths=None if aux is None else tuple(float(x) for x in aux),
     )
+    for name, vec in obj.get("features", {}).items():
+        flat, lengths = inline[name]
+        flat.fromlist(vec)
+        lengths.append(len(vec))
+    return record
 
 
 def _parse_gt(obj: dict) -> GroundTruthObject:
@@ -105,9 +116,16 @@ def _parse_gt(obj: dict) -> GroundTruthObject:
 
 
 def _read_manifest(path: Path):
+    """Parse every line of a manifest or raw export.
+
+    Returns the header, the instance and gt records in file order, and the
+    ``features`` vectors that instance lines carry inline, as
+    ``{view: (flat float64 buffer, length of each line's vector)}``.
+    """
     header = None
     instances: list[InstanceRecord] = []
     gts: list[GroundTruthObject] = []
+    inline: dict[str, tuple[array, list[int]]] = defaultdict(lambda: (array("d"), []))
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -117,20 +135,24 @@ def _read_manifest(path: Path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-            kind = obj.get("kind")
+            kind = obj.get("kind") if isinstance(obj, dict) else None
             if kind == "header":
                 if header is not None:
                     raise DatasetError(f"{path}:{lineno}: duplicate header line")
                 header = obj
-            elif kind == "instance":
-                instances.append(_parse_instance(obj))
-            elif kind == "gt":
-                gts.append(_parse_gt(obj))
-            else:
+                continue
+            if kind not in ("instance", "gt"):
                 raise DatasetError(f"{path}:{lineno}: unknown record kind {kind!r}")
+            try:
+                if kind == "instance":
+                    instances.append(_parse_instance(obj, inline))
+                else:
+                    gts.append(_parse_gt(obj))
+            except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise DatasetError(f"{path}:{lineno}: malformed {kind} line ({exc!r})") from exc
     if header is None:
         raise DatasetError(f"{path}: manifest has no header line")
-    return header, instances, gts
+    return header, instances, gts, inline
 
 
 def _image_table(instances, gts) -> dict[str, int]:
@@ -145,73 +167,90 @@ def _image_table(instances, gts) -> dict[str, int]:
     return images
 
 
+def _assemble(path: Path, header: dict, instances, gts, view_matrix) -> Dataset:
+    """Build a dataset from parsed lines and ``view_matrix(view)``, one
+    (instances, dim) feature matrix per declared view.
+
+    Each matrix is checked once for shape and finiteness; the result is not
+    yet validated.
+    """
+    try:
+        views = _parse_views(header)
+        cam = header.get("camera", {})
+        camera = CameraModel(f_x=float(cam["fx"]), f_y=float(cam["fy"]))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DatasetError(f"{path}: malformed header line ({exc!r})") from exc
+
+    feature_rows: dict[str, np.ndarray] = {}
+    for v in views:
+        matrix = view_matrix(v)
+        if matrix.shape[0] != len(instances):
+            raise DatasetError(
+                f"view {v.name!r}: {matrix.shape[0]} feature rows for {len(instances)} instances"
+            )
+        if matrix.shape[1] != v.dim:
+            raise DatasetError(
+                f"view {v.name!r}: dimension mismatch (declared {v.dim}, rows have {matrix.shape[1]})"
+            )
+        if not np.isfinite(matrix).all():
+            raise DatasetError(f"view {v.name!r}: non-finite feature values")
+        feature_rows[v.name] = matrix
+
+    # The records are still private to the parser, which gave each an
+    # empty feature dict: fill it in place instead of rebuilding records.
+    for name, matrix in feature_rows.items():
+        for r, row in zip(instances, matrix):
+            r.features[name] = row
+    return Dataset(
+        camera=camera,
+        views=views,
+        instances=tuple(instances),
+        ground_truth=tuple(gts),
+        images=_image_table(instances, gts),
+    )
+
+
 def load_dataset(path) -> Dataset:
     """Load and fully validate a dataset from a manifest file.
 
     Raises ``DatasetError`` on malformed input, blob/view dimension
-    mismatch, duplicate ids, or any type-invariant violation.
+    mismatch, non-finite features, duplicate ids, or any type-invariant
+    violation.
     """
     path = Path(path)
-    header, instances, gts = _read_manifest(path)
-
-    views = _parse_views(header)
-    cam = header.get("camera", {})
-    camera = CameraModel(f_x=float(cam["fx"]), f_y=float(cam["fy"]))
-
+    header, instances, gts, _ = _read_manifest(path)
     blob_refs = header.get("blobs", {})
-    feature_rows: dict[str, np.ndarray] = {}
-    for v in views:
+
+    def blob_matrix(v: ViewSpec) -> np.ndarray:
         if v.name not in blob_refs:
             raise DatasetError(f"header declares view {v.name!r} but no blob reference")
-        matrix = read_blob(path.parent / blob_refs[v.name])
-        if matrix.shape[0] != len(instances):
-            raise DatasetError(
-                f"view {v.name!r}: blob has {matrix.shape[0]} rows for {len(instances)} instances"
-            )
-        if matrix.shape[1] != v.dim:
-            raise DatasetError(
-                f"view {v.name!r}: dimension mismatch (declared {v.dim}, blob rows have {matrix.shape[1]})"
-            )
-        feature_rows[v.name] = matrix
+        return read_blob(path.parent / blob_refs[v.name])
 
-    seen: set[int] = set()
-    for r in instances:
-        if r.instance_id in seen:
-            raise DatasetError(f"duplicate instance_id {r.instance_id}")
-        seen.add(r.instance_id)
-    seen_gt: set[int] = set()
-    for g in gts:
-        if g.gt_id in seen_gt:
-            raise DatasetError(f"duplicate gt_id {g.gt_id}")
-        seen_gt.add(g.gt_id)
-
-    filled = []
-    for i, r in enumerate(instances):
-        feats = {name: feature_rows[name][i] for name in feature_rows}
-        filled.append(
-            InstanceRecord(
-                image_id=r.image_id,
-                instance_id=r.instance_id,
-                class_id=r.class_id,
-                box2d=r.box2d,
-                features=feats,
-                pred_depth=r.pred_depth,
-                confidence=r.confidence,
-                aux_depths=r.aux_depths,
-            )
-        )
-
-    dataset = Dataset(
-        camera=camera,
-        views=views,
-        instances=tuple(filled),
-        ground_truth=tuple(gts),
-        images=_image_table(filled, gts),
-    )
+    dataset = _assemble(path, header, instances, gts, blob_matrix)
     violations = validate_dataset(dataset)
     if violations:
         raise DatasetError("invalid dataset: " + "; ".join(violations))
     return dataset
+
+
+def read_raw_export(path) -> Dataset:
+    """Parse a raw export: manifest lines whose instances carry their
+    feature vectors inline instead of in blobs.
+
+    Raises ``DatasetError`` on the same malformed input as
+    ``load_dataset``. The result is not validated; callers report
+    ``validate_dataset`` violations themselves.
+    """
+    path = Path(path)
+    header, instances, gts, inline = _read_manifest(path)
+
+    def inline_matrix(v: ViewSpec) -> np.ndarray:
+        flat, lengths = inline.get(v.name, (array("d"), []))
+        if lengths.count(v.dim) != len(lengths):
+            raise DatasetError(f"view {v.name!r}: inline vectors differ from the declared dim {v.dim}")
+        return np.frombuffer(flat, dtype=np.float64).reshape(len(lengths), v.dim)
+
+    return _assemble(path, header, instances, gts, inline_matrix)
 
 
 def _blob_name(index: int, view_name: str) -> str:

@@ -120,9 +120,6 @@ class Dataset:
     ground_truth: tuple[GroundTruthObject, ...]
     images: dict[str, int]
 
-    def instances_of_image(self, image_id: str) -> list[InstanceRecord]:
-        return [r for r in self.instances if r.image_id == image_id]
-
     def gts_of_image(self, image_id: str) -> list[GroundTruthObject]:
         return [g for g in self.ground_truth if g.image_id == image_id]
 
@@ -180,8 +177,11 @@ def validate_dataset(d: Dataset) -> list[str]:
             violations.append(f"{tag}: box2d coordinates must be finite")
         elif r.box2d.w < 0 or r.box2d.h < 0:
             violations.append(f"{tag}: box2d width/height must be >= 0")
-        if r.pred_depth is not None and not r.pred_depth > 0:
-            violations.append(f"{tag}: pred_depth must be > 0, got {r.pred_depth}")
+        # Chained comparisons against inf also refuse NaN, without a call.
+        if r.pred_depth is not None and not 0 < r.pred_depth < math.inf:
+            violations.append(f"{tag}: pred_depth must be finite and > 0, got {r.pred_depth}")
+        if r.aux_depths is not None and not all(map(math.isfinite, r.aux_depths)):
+            violations.append(f"{tag}: aux_depths must be finite, got {r.aux_depths}")
         if r.confidence is not None and not 0.0 <= r.confidence <= 1.0:
             violations.append(f"{tag}: confidence must be in [0, 1], got {r.confidence}")
         for v in d.views:
@@ -199,9 +199,9 @@ def validate_dataset(d: Dataset) -> list[str]:
         if g.gt_id in seen_gt:
             violations.append(f"{tag}: duplicate gt_id")
         seen_gt.add(g.gt_id)
-        if not g.depth > 0:
-            violations.append(f"{tag}: depth must be > 0, got {g.depth}")
-        if g.pixel_height < 0:
-            violations.append(f"{tag}: pixel_height must be >= 0, got {g.pixel_height}")
+        if not 0 < g.depth < math.inf:
+            violations.append(f"{tag}: depth must be finite and > 0, got {g.depth}")
+        if not 0 <= g.pixel_height < math.inf:
+            violations.append(f"{tag}: pixel_height must be finite and >= 0, got {g.pixel_height}")
 
     return violations

@@ -1,15 +1,30 @@
-"""Acquisition strategies: diversity-greedy selection and baselines.
+"""Acquisition strategies: one ranking core for every strategy kind.
 
-The diversity strategies run greedy k-center (farthest-point) selection
-in a fused feature metric: repeatedly pick the pool instance with the
-largest minimum distance to the reference set, then fold the pick into
-the reference set. An incremental per-candidate min-distance cache makes
-a k-pick batch cost O(k * |pool|) distance evaluations instead of
-recomputing every candidate-reference pair each step.
+``rank_pool`` is the only ordering. It yields (record, score) pairs
+best-first; a k-instance batch is its first k items.
 
-Candidate scoring is order-independent and may be parallelized; the
-greedy pick itself is a sequential reduction whose lowest-id tie rule
-keeps results deterministic regardless of scoring order.
+=================  ==================================  =====================================  ==============
+kind               score (higher ranks earlier)        eligible records                       ties
+=================  ==================================  =====================================  ==============
+``random``         uniform draw from the round seed    whole pool                             lowest id
+``confidence``     minus the class confidence          whole pool (confidence required)       lowest id
+``ens_depth_var``  population variance of depths       whole pool (pred_depth required)       lowest id
+``close_depth``    minus the predicted depth           whole pool (pred_depth required)       lowest id
+``far_depth``      the predicted depth                 box height >= min_px_height and        lowest id
+                                                       pred_depth < max_depth; others left
+                                                       out, not ranked last
+``coreset`` etc.   min fused distance to the labeled   whole pool, picked lazily one by one   lowest id
+                   set plus earlier picks
+=================  ==================================  =====================================  ==============
+
+The diversity kinds (``coreset``, ``coreset_box3d``, ``ideal``) run
+greedy k-center (farthest-point) selection in a fused feature metric:
+repeatedly pick the pool instance with the largest minimum distance to
+the reference set, then fold the pick into the reference set. An
+incremental per-candidate min-distance cache makes a k-pick batch cost
+O(k * |pool|) distance evaluations instead of recomputing every
+candidate-reference pair each step. The other kinds score their eligible
+records once and sort once.
 """
 
 from __future__ import annotations
@@ -29,16 +44,9 @@ __all__ = [
     "CORESET_KINDS",
     "DepthFilters",
     "StrategyConfig",
-    "SelectionRequest",
-    "coreset_score",
     "coreset_select",
     "iter_coreset_picks",
-    "select_random",
-    "select_confidence",
-    "select_ens_depth_var",
-    "select_depth_extreme",
     "ensemble_depth_variance",
-    "score_pool",
     "image_level_select",
     "rank_pool",
     "validate_strategy_setup",
@@ -86,18 +94,6 @@ class StrategyConfig:
             raise ValueError(f"strategy {self.kind!r} needs a nonempty view list")
 
 
-@dataclass(frozen=True)
-class SelectionRequest:
-    """A labeling proposal handed to the oracle."""
-
-    instance_id: int
-    image_id: str
-    req_center: tuple[float, float]
-    pred_depth: float | None
-    pred_class: int
-    score: float
-
-
 def _pairwise(dist, xs: Sequence[InstanceRecord], zs: Sequence[InstanceRecord]) -> np.ndarray:
     pw = getattr(dist, "pairwise", None)
     if pw is not None:
@@ -107,17 +103,6 @@ def _pairwise(dist, xs: Sequence[InstanceRecord], zs: Sequence[InstanceRecord]) 
         for j, z in enumerate(zs):
             out[i, j] = dist(x, z)
     return out
-
-
-def coreset_score(x: InstanceRecord, labeled: Sequence[InstanceRecord], dist: DistanceFn) -> float:
-    """Minimum distance from one candidate to the labeled set.
-
-    Raises:
-        ValueError: if the labeled set is empty.
-    """
-    if not len(labeled):
-        raise ValueError("labeled set must be nonempty")
-    return min(dist(x, z) for z in labeled)
 
 
 def iter_coreset_picks(
@@ -170,51 +155,6 @@ def coreset_select(
     return [r.instance_id for r, _ in islice(iter_coreset_picks(pool, labeled, dist), k)]
 
 
-def select_random(pool: Sequence[InstanceRecord], k: int, seed: int) -> list[int]:
-    """Uniform sample of k instance ids without replacement, seed-reproducible."""
-    if k > len(pool):
-        raise ValueError(f"k={k} exceeds pool size {len(pool)}")
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(len(pool), size=k, replace=False)
-    return [pool[int(i)].instance_id for i in idx]
-
-
-def _combined_confidence(r: InstanceRecord, depth_confidence: Mapping[int, float] | None) -> float:
-    parts = []
-    if r.confidence is not None:
-        parts.append(float(r.confidence))
-    if depth_confidence is not None:
-        dc = depth_confidence.get(r.instance_id)
-        if dc is not None:
-            parts.append(float(dc))
-    if not parts:
-        raise ValueError(f"instance {r.instance_id}: no confidence available")
-    out = 1.0
-    for p in parts:
-        out *= p
-    return out
-
-
-def select_confidence(
-    pool: Sequence[InstanceRecord],
-    k: int,
-    depth_confidence: Mapping[int, float] | None = None,
-) -> list[int]:
-    """Lowest combined confidence first.
-
-    The combined score is the product of the class confidence carried on
-    the record and the optional per-id depth confidence; with only one of
-    the two available, that one is used alone. Ties resolve to the lowest
-    instance_id.
-    """
-    if k > len(pool):
-        raise ValueError(f"k={k} exceeds pool size {len(pool)}")
-    vals = np.array([_combined_confidence(r, depth_confidence) for r in pool])
-    ids = np.array([r.instance_id for r in pool])
-    order = np.lexsort((ids, vals))
-    return [pool[int(i)].instance_id for i in order[:k]]
-
-
 def ensemble_depth_variance(r: InstanceRecord) -> float:
     """Population variance of the main and associated auxiliary depths.
 
@@ -228,90 +168,6 @@ def ensemble_depth_variance(r: InstanceRecord) -> float:
     if len(depths) < 2:
         return 0.0
     return float(np.var(depths))
-
-
-def select_ens_depth_var(pool: Sequence[InstanceRecord], k: int) -> list[int]:
-    """Highest ensemble depth variance first; ties by lowest instance_id."""
-    if k > len(pool):
-        raise ValueError(f"k={k} exceeds pool size {len(pool)}")
-    vals = np.array([ensemble_depth_variance(r) for r in pool])
-    ids = np.array([r.instance_id for r in pool])
-    order = np.lexsort((ids, -vals))
-    return [pool[int(i)].instance_id for i in order[:k]]
-
-
-def _require_depth(pool: Sequence[InstanceRecord]) -> None:
-    missing = [r.instance_id for r in pool if r.pred_depth is None]
-    if missing:
-        raise ValueError(f"instances missing pred_depth: {missing}")
-
-
-def select_depth_extreme(
-    pool: Sequence[InstanceRecord],
-    k: int,
-    mode: str,
-    filters: DepthFilters = DepthFilters(),
-) -> list[int]:
-    """Closest-first or farthest-first depth heuristic.
-
-    Far mode only considers instances with 2D pixel height at least
-    ``filters.min_px_height`` and depth strictly below
-    ``filters.max_depth``; fewer than k eligible instances yield a
-    shorter list.
-    """
-    if mode not in ("close", "far"):
-        raise ValueError(f"mode must be 'close' or 'far', got {mode!r}")
-    _require_depth(pool)
-    if mode == "far":
-        eligible = [
-            r for r in pool
-            if r.box2d.h >= filters.min_px_height and r.pred_depth < filters.max_depth
-        ]
-        sign = -1.0
-    else:
-        eligible = list(pool)
-        sign = 1.0
-    vals = np.array([sign * r.pred_depth for r in eligible])
-    ids = np.array([r.instance_id for r in eligible])
-    order = np.lexsort((ids, vals)) if len(eligible) else []
-    return [eligible[int(i)].instance_id for i in list(order)[:k]]
-
-
-def score_pool(
-    pool: Sequence[InstanceRecord],
-    cfg: StrategyConfig,
-    labeled: Sequence[InstanceRecord] | None = None,
-    metric: DistanceFn | None = None,
-) -> np.ndarray:
-    """Static informativeness scores under a strategy; higher means
-    selected earlier. Used by image-level wrappers where the per-image
-    score is the best contained instance.
-    """
-    n = len(pool)
-    if cfg.kind == "random":
-        return np.random.default_rng(cfg.seed).random(n)
-    if cfg.kind == "confidence":
-        return -np.array([_combined_confidence(r, None) for r in pool])
-    if cfg.kind == "ens_depth_var":
-        return np.array([ensemble_depth_variance(r) for r in pool])
-    if cfg.kind == "close_depth":
-        _require_depth(pool)
-        return -np.array([r.pred_depth for r in pool])
-    if cfg.kind == "far_depth":
-        _require_depth(pool)
-        f = cfg.far_depth_filters
-        return np.array([
-            r.pred_depth
-            if (r.box2d.h >= f.min_px_height and r.pred_depth < f.max_depth)
-            else -np.inf
-            for r in pool
-        ])
-    # greedy-diversity kinds: score is the current min distance to labeled
-    if labeled is None or metric is None:
-        raise ValueError(f"strategy {cfg.kind!r} needs a labeled set and a metric")
-    if not len(labeled):
-        raise ValueError("labeled set must be nonempty")
-    return _pairwise(metric, pool, labeled).min(axis=1)
 
 
 def image_level_select(
@@ -360,12 +216,33 @@ def validate_strategy_setup(cfg: StrategyConfig, pool: Sequence[InstanceRecord])
         if missing:
             raise ValueError(f"confidence strategy: instances missing confidence: {missing}")
     if cfg.kind in ("close_depth", "far_depth", "ens_depth_var"):
-        _require_depth(pool)
+        missing = [r.instance_id for r in pool if r.pred_depth is None]
+        if missing:
+            raise ValueError(f"instances missing pred_depth: {missing}")
     if cfg.kind in CORESET_KINDS and pool:
         names = set(pool[0].features)
         absent = [v.name for v in cfg.views if v.name not in names]
         if absent:
             raise ValueError(f"strategy {cfg.kind!r}: pool lacks feature views {absent}")
+
+
+def _far_depth_eligible(r: InstanceRecord, f: DepthFilters) -> bool:
+    return r.box2d.h >= f.min_px_height and r.pred_depth < f.max_depth
+
+
+def _column(records: Sequence[InstanceRecord], value: Callable[[InstanceRecord], float]) -> np.ndarray:
+    return np.array([value(r) for r in records], dtype=np.float64)
+
+
+# Non-greedy kinds: (eligibility or None for the whole pool, scores of the
+# eligible records given the round seed). Higher scores rank earlier.
+_RANKERS = {
+    "random": (None, lambda rs, seed: np.random.default_rng(seed).random(len(rs))),
+    "confidence": (None, lambda rs, seed: -_column(rs, lambda r: r.confidence)),
+    "ens_depth_var": (None, lambda rs, seed: _column(rs, ensemble_depth_variance)),
+    "close_depth": (None, lambda rs, seed: -_column(rs, lambda r: r.pred_depth)),
+    "far_depth": (_far_depth_eligible, lambda rs, seed: _column(rs, lambda r: r.pred_depth)),
+}
 
 
 def rank_pool(
@@ -378,8 +255,10 @@ def rank_pool(
     """Yield (record, score) pairs best-first under the given strategy.
 
     Greedy-diversity kinds rank lazily so callers can stop as soon as a
-    round budget is filled; the remaining kinds sort once up front.
-    ``seed`` overrides the config seed for per-round randomness.
+    round budget is filled; the remaining kinds score their eligible
+    records once and sort by descending score, ties to the lowest
+    instance_id. ``seed`` overrides the config seed for per-round
+    randomness.
     """
     validate_strategy_setup(cfg, pool)
     if cfg.kind in CORESET_KINDS:
@@ -388,34 +267,12 @@ def rank_pool(
         yield from iter_coreset_picks(pool, labeled, metric)
         return
 
-    if cfg.kind == "random":
-        rng = np.random.default_rng(cfg.seed if seed is None else seed)
-        scores = rng.random(len(pool))
-        ids = np.array([r.instance_id for r in pool])
-        order = np.lexsort((ids, -scores))
-        for i in order:
-            yield pool[int(i)], float(scores[int(i)])
-        return
-
-    if cfg.kind == "far_depth":
-        f = cfg.far_depth_filters
-        _require_depth(pool)
-        eligible = [
-            r for r in pool
-            if r.box2d.h >= f.min_px_height and r.pred_depth < f.max_depth
-        ]
-        vals = np.array([r.pred_depth for r in eligible])
-        ids = np.array([r.instance_id for r in eligible])
-        order = np.lexsort((ids, -vals)) if len(eligible) else []
-        for i in order:
-            yield eligible[int(i)], float(vals[int(i)])
-        return
-
-    scores = score_pool(pool, cfg, labeled=labeled, metric=metric)
-    ids = np.array([r.instance_id for r in pool])
-    order = np.lexsort((ids, -scores))
-    for i in order:
-        yield pool[int(i)], float(scores[int(i)])
+    eligible, score = _RANKERS[cfg.kind]
+    records = pool if eligible is None else [r for r in pool if eligible(r, cfg.far_depth_filters)]
+    scores = score(records, cfg.seed if seed is None else seed)
+    ids = np.array([r.instance_id for r in records], dtype=np.int64)
+    for i in np.lexsort((ids, -scores)).tolist():
+        yield records[i], float(scores[i])
 
 
 def with_ensemble_depths(

@@ -77,6 +77,38 @@ class TestIngest:
         assert main(["ingest", "--input", str(raw), "--output", str(tmp_path / "out")]) == 1
         assert "violation" in capsys.readouterr().err
 
+    def test_second_header_rejected(self, tmp_path, capsys):
+        second = dict(raw_lines()[0], camera={"fx": 50.0, "fy": 50.0})
+        raw = tmp_path / "raw.jsonl"
+        write_raw(raw, raw_lines() + [second])
+        assert main(["ingest", "--input", str(raw), "--output", str(tmp_path / "out")]) == 1
+        assert f"{raw}:6: duplicate header line" in capsys.readouterr().err
+
+    def test_invalid_json_names_path_and_line(self, tmp_path, capsys):
+        raw = tmp_path / "raw.jsonl"
+        write_raw(raw, raw_lines())
+        raw.write_text(raw.read_text(encoding="utf-8") + "{not json\n", encoding="utf-8")
+        assert main(["ingest", "--input", str(raw), "--output", str(tmp_path / "out")]) == 1
+        assert f"{raw}:6: invalid JSON" in capsys.readouterr().err
+
+    def test_non_finite_features_rejected(self, tmp_path, capsys):
+        lines = raw_lines()
+        lines[2]["features"]["v"] = [float("nan"), 1.0]
+        raw = tmp_path / "raw.jsonl"
+        write_raw(raw, lines)
+        assert main(["ingest", "--input", str(raw), "--output", str(tmp_path / "out")]) == 1
+        assert "view 'v': non-finite feature values" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("features", [{}, {"v": [1.0, 2.0, 3.0]}])
+    def test_missing_or_misshapen_inline_view_rejected(self, tmp_path, capsys, features):
+        lines = raw_lines()
+        lines[2]["features"] = features
+        raw = tmp_path / "raw.jsonl"
+        write_raw(raw, lines)
+        assert main(["ingest", "--input", str(raw), "--output", str(tmp_path / "out")]) == 1
+        assert "view 'v'" in capsys.readouterr().err
+
 
 @pytest.fixture
 def sim_setup(tmp_path):

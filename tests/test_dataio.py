@@ -178,3 +178,26 @@ class TestLoadErrors:
         manifest = self._write_manifest(tmp_path, [self._header({"v": "v.alf"}), bad])
         with pytest.raises(DatasetError, match="pred_depth"):
             load_dataset(manifest)
+
+    def test_non_finite_feature_blob(self, tmp_path):
+        write_blob(tmp_path / "v.alf", [[1.0, float("inf")]])
+        manifest = self._write_manifest(tmp_path, [self._header({"v": "v.alf"}), self._instance(0)])
+        with pytest.raises(DatasetError, match="view 'v': non-finite feature values"):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize(
+        "mangle, message",
+        [
+            (lambda lines: lines[0]["camera"].pop("fy"), "manifest.jsonl: malformed header line"),
+            (lambda lines: lines[1].pop("box2d"), "manifest.jsonl:2: malformed instance line"),
+            (lambda lines: lines.append([1, 2]), "manifest.jsonl:3: unknown record kind"),
+        ],
+        ids=["header", "instance", "not_an_object"],
+    )
+    def test_malformed_lines_name_the_file(self, tmp_path, mangle, message):
+        write_blob(tmp_path / "v.alf", [[1.0, 2.0]])
+        lines = [self._header({"v": "v.alf"}), self._instance(0)]
+        mangle(lines)
+        manifest = self._write_manifest(tmp_path, lines)
+        with pytest.raises(DatasetError, match=message):
+            load_dataset(manifest)

@@ -63,6 +63,21 @@ class TestValidateDataset:
         data = build_dataset([two_view_record(0)], [make_gt(1, depth=0.0)], views=VIEWS)
         assert any("gt 1" in v and "depth" in v for v in validate_dataset(data))
 
+    @pytest.mark.parametrize(
+        "record, gt, tag, field",
+        [
+            ({"pred_depth": float("inf")}, {}, "instance 0", "pred_depth"),
+            ({"aux_depths": (12.0, float("nan"))}, {}, "instance 0", "aux_depths"),
+            ({}, {"depth": float("inf")}, "gt 1", "depth"),
+            ({}, {"pixel_height": float("nan")}, "gt 1", "pixel_height"),
+        ],
+    )
+    def test_non_finite_scalars_flagged(self, record, gt, tag, field):
+        data = build_dataset([two_view_record(0, **record)], [make_gt(1, **gt)], views=VIEWS)
+        violations = validate_dataset(data)
+        assert len(violations) == 1
+        assert tag in violations[0] and field in violations[0] and "finite" in violations[0]
+
 
 class TestDatasetHelpers:
     def test_labelable_counts_apply_height_filter(self):

@@ -1,21 +1,22 @@
+from itertools import islice
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alsim.features import FusedCosineMetric
 from alsim.records import ViewSpec
 from alsim.selection import (
+    CORESET_KINDS,
+    STRATEGY_KINDS,
     DepthFilters,
     StrategyConfig,
-    coreset_score,
     coreset_select,
+    ensemble_depth_variance,
     image_level_select,
     iter_coreset_picks,
     rank_pool,
-    score_pool,
-    select_confidence,
-    select_depth_extreme,
-    select_ens_depth_var,
-    select_random,
     validate_strategy_setup,
     with_ensemble_depths,
 )
@@ -41,24 +42,33 @@ def greedy_oracle(pool, labeled, dist, k):
     return [r.instance_id for r in picked]
 
 
+def ranked_ids(pool, kind, seed=None, **cfg):
+    return [r.instance_id for r, _ in rank_pool(pool, StrategyConfig(kind=kind, **cfg), seed=seed)]
+
+
+def first_pick_score(x, labeled, dist):
+    """Greedy score of a one-record pool: its min distance to the labeled set."""
+    return next(iter_coreset_picks([x], labeled, dist))[1]
+
+
 class TestCoresetScore:
     def test_self_in_labeled(self):
         recs = scalar_records([1.0, 5.0])
-        assert coreset_score(recs[0], recs, euclid1d) == 0.0
+        assert first_pick_score(recs[0], recs, euclid1d) == 0.0
 
     def test_single_labeled_point(self):
         x, z = scalar_records([0.0, 0.7])
-        assert coreset_score(x, [z], euclid1d) == pytest.approx(0.7)
+        assert first_pick_score(x, [z], euclid1d) == pytest.approx(0.7)
 
     def test_min_of_three(self):
         x = scalar_records([0.0])[0]
         labeled = scalar_records([0.9, -0.4, 0.6], ids=[10, 11, 12])
-        assert coreset_score(x, labeled, euclid1d) == pytest.approx(0.4)
+        assert first_pick_score(x, labeled, euclid1d) == pytest.approx(0.4)
 
     def test_empty_labeled_rejected(self):
         x = scalar_records([0.0])[0]
         with pytest.raises(ValueError, match="nonempty"):
-            coreset_score(x, [], euclid1d)
+            first_pick_score(x, [], euclid1d)
 
 
 class TestCoresetSelect:
@@ -150,15 +160,11 @@ class TestCoresetSelect:
 class TestSelectRandom:
     def test_deterministic(self):
         pool = scalar_records(range(10))
-        assert select_random(pool, 4, seed=99) == select_random(pool, 4, seed=99)
+        assert ranked_ids(pool, "random", seed=99) == ranked_ids(pool, "random", seed=99)
 
     def test_whole_pool(self):
         pool = scalar_records(range(5))
-        assert sorted(select_random(pool, 5, seed=1)) == list(range(5))
-
-    def test_k_too_large(self):
-        with pytest.raises(ValueError):
-            select_random(scalar_records([1.0]), 2, seed=0)
+        assert sorted(ranked_ids(pool, "random", seed=1)) == list(range(5))
 
     def test_uniform_frequencies(self):
         # binomial bound: each of 4 ids within 4 sigma of p=0.25 over 1e4 draws
@@ -166,7 +172,7 @@ class TestSelectRandom:
         n = 10_000
         counts = {i: 0 for i in range(4)}
         for seed in range(n):
-            counts[select_random(pool, 1, seed=seed)[0]] += 1
+            counts[ranked_ids(pool, "random", seed=seed)[0]] += 1
         sigma = (0.25 * 0.75 / n) ** 0.5
         for i in range(4):
             assert abs(counts[i] / n - 0.25) < 4 * sigma
@@ -179,22 +185,16 @@ class TestSelectConfidence:
             make_record(1, confidence=0.1),
             make_record(2, confidence=0.5),
         ]
-        assert select_confidence(pool, 2) == [1, 2]
+        assert ranked_ids(pool, "confidence") == [1, 2, 0]
 
     def test_ties_break_by_id(self):
         pool = [make_record(5, confidence=0.5), make_record(2, confidence=0.5)]
-        assert select_confidence(pool, 2) == [2, 5]
-
-    def test_product_rule(self):
-        # 0.5 * 0.5 = 0.25 ranks before a plain 0.3
-        pool = [make_record(0, confidence=0.5), make_record(1, confidence=0.3)]
-        assert select_confidence(pool, 2, depth_confidence={0: 0.5}) == [0, 1]
-        assert select_confidence(pool, 2) == [1, 0]
+        assert ranked_ids(pool, "confidence") == [2, 5]
 
     def test_missing_confidence_rejected(self):
         pool = [make_record(0, confidence=None)]
         with pytest.raises(ValueError, match="confidence"):
-            select_confidence(pool, 1)
+            ranked_ids(pool, "confidence")
 
 
 class TestSelectEnsDepthVar:
@@ -203,7 +203,7 @@ class TestSelectEnsDepthVar:
             make_record(0, pred_depth=10.0, aux_depths=(10.0, 10.0)),
             make_record(1, pred_depth=10.0, aux_depths=(14.0,)),
         ]
-        assert select_ens_depth_var(pool, 2) == [1, 0]
+        assert ranked_ids(pool, "ens_depth_var") == [1, 0]
 
     def test_population_variance_ordering(self):
         # (10, 20): mean 15, population variance 25; (10, 12): variance 1
@@ -211,15 +211,11 @@ class TestSelectEnsDepthVar:
             make_record(0, pred_depth=10.0, aux_depths=(12.0,)),
             make_record(1, pred_depth=10.0, aux_depths=(20.0,)),
         ]
-        from alsim.selection import ensemble_depth_variance
-
         assert ensemble_depth_variance(pool[1]) == pytest.approx(25.0)
         assert ensemble_depth_variance(pool[0]) == pytest.approx(1.0)
-        assert select_ens_depth_var(pool, 2) == [1, 0]
+        assert ranked_ids(pool, "ens_depth_var") == [1, 0]
 
     def test_unassociated_scores_zero(self):
-        from alsim.selection import ensemble_depth_variance
-
         assert ensemble_depth_variance(make_record(0, pred_depth=30.0, aux_depths=None)) == 0.0
 
 
@@ -231,23 +227,26 @@ class TestSelectDepthExtreme:
     ]
 
     def test_far_filters_beyond_50m(self):
-        assert select_depth_extreme(self.POOL, 1, "far") == [2]
+        assert ranked_ids(self.POOL, "far_depth") == [2, 0]
 
     def test_close_picks_nearest(self):
-        assert select_depth_extreme(self.POOL, 1, "close") == [0]
+        assert ranked_ids(self.POOL, "close_depth") == [0, 2, 1]
 
     def test_boundary_50m_excluded(self):
         pool = self.POOL + [make_record(3, pred_depth=50.0, size=(30.0, 40.0))]
-        picks = select_depth_extreme(pool, 4, "far")
+        picks = ranked_ids(pool, "far_depth")
         assert 3 not in picks and 1 not in picks
 
     def test_short_instances_filtered_in_far_mode(self):
         pool = [make_record(0, pred_depth=40.0, size=(30.0, 10.0))]
-        assert select_depth_extreme(pool, 1, "far") == []
+        assert ranked_ids(pool, "far_depth") == []
+        loose = DepthFilters(min_px_height=10.0)
+        assert ranked_ids(pool, "far_depth", far_depth_filters=loose) == [0]
 
     def test_bad_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            select_depth_extreme(self.POOL, 1, "sideways")
+        # the depth heuristics are the close_depth and far_depth kinds only
+        with pytest.raises(ValueError, match="unknown strategy"):
+            StrategyConfig(kind="sideways_depth")
 
 
 class TestImageLevelSelect:
@@ -326,15 +325,56 @@ class TestRankPool:
             assert len(set(ranked)) == len(ranked)
             assert set(ranked) <= {r.instance_id for r in pool}
 
-    def test_score_pool_matches_rank_heads(self, rng):
-        pool = [
-            make_record(i, pred_depth=float(rng.uniform(5, 45)), confidence=float(rng.uniform(0, 1)))
-            for i in range(10)
-        ]
-        cfg = StrategyConfig(kind="confidence")
-        scores = score_pool(pool, cfg)
-        first = next(rank_pool(pool, cfg))[0]
-        assert scores[[r.instance_id for r in pool].index(first.instance_id)] == scores.max()
+
+@st.composite
+def depth_pools(draw):
+    """Small pools with repeated depths, confidences and heights, so that
+    score ties and the far-depth boundaries come up often."""
+    ids = draw(st.lists(st.integers(0, 60), max_size=12, unique=True))
+    return [
+        make_record(
+            iid,
+            pred_depth=draw(st.sampled_from([5.0, 20.0, 49.5, 50.0, 60.0])),
+            confidence=draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+            aux_depths=draw(st.none() | st.lists(st.sampled_from([5.0, 20.0, 60.0]), max_size=2).map(tuple)),
+            size=(30.0, draw(st.sampled_from([10.0, 25.0, 40.0]))),
+        )
+        for iid in ids
+    ]
+
+
+class TestRankPoolProperties:
+    @settings(deadline=None)
+    @given(pool=depth_pools(), seed=st.integers(0, 2**32 - 1))
+    def test_sorted_distinct_lowest_id_ties(self, pool, seed):
+        for kind in (k for k in STRATEGY_KINDS if k not in CORESET_KINDS):
+            cfg = StrategyConfig(kind=kind)
+            ranked = [(r.instance_id, score) for r, score in rank_pool(pool, cfg, seed=seed)]
+            ids = [iid for iid, _ in ranked]
+            f = cfg.far_depth_filters
+            eligible = {
+                r.instance_id for r in pool
+                if kind != "far_depth" or (r.box2d.h >= f.min_px_height and r.pred_depth < f.max_depth)
+            }
+            assert len(set(ids)) == len(ids), kind
+            assert set(ids) == eligible, kind
+            for (id_a, score_a), (id_b, score_b) in zip(ranked, ranked[1:]):
+                assert score_a > score_b or (score_a == score_b and id_a < id_b), kind
+
+    @settings(deadline=None)
+    @given(
+        values=st.lists(st.integers(-4, 4), min_size=1, max_size=10),
+        labeled_values=st.lists(st.integers(-4, 4), min_size=1, max_size=3),
+        data=st.data(),
+    )
+    def test_coreset_prefix_matches_oracle(self, values, labeled_values, data):
+        ids = data.draw(st.lists(st.integers(0, 99), min_size=len(values), max_size=len(values), unique=True))
+        pool = scalar_records(values, ids=ids)
+        labeled = scalar_records(labeled_values, ids=[1000 + i for i in range(len(labeled_values))])
+        k = data.draw(st.integers(1, len(pool)))
+        cfg = StrategyConfig(kind="coreset", views=(ViewSpec("v", 1, 1.0),))
+        ranking = rank_pool(pool, cfg, labeled=labeled, metric=euclid1d)
+        assert [r.instance_id for r, _ in islice(ranking, k)] == greedy_oracle(pool, labeled, euclid1d, k)
 
 
 class TestWithEnsembleDepths:
