@@ -106,6 +106,9 @@ def cmd_simulate(args) -> int:
             dataset_path = config_path.parent / dataset_path
         campaign = cfg_obj.get("campaign", {})
         budgets = tuple(int(b) for b in campaign["round_budgets"])
+        initial_fraction = float(campaign.get("initial_fraction", 0.1))
+        if initial_fraction == 0.0:
+            raise _UsageError("initial_fraction must be > 0: the covering-radius curve needs a labeled set")
     except (_UsageError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -129,7 +132,7 @@ def cmd_simulate(args) -> int:
                 strategy=strategy,
                 round_budgets=budgets,
                 h_scale=float(campaign.get("H", 2.0)),
-                initial_fraction=float(campaign.get("initial_fraction", 0.1)),
+                initial_fraction=initial_fraction,
                 alpha=float(campaign.get("alpha", 3.0)),
                 delta=float(campaign.get("delta", 0.2)),
                 min_px_height=float(campaign.get("min_px_height", 25.0)),

@@ -65,7 +65,10 @@ def write_blob(path, matrix) -> None:
 
 def read_blob(path) -> np.ndarray:
     """Read an ALF1 blob into a float64 (count, dim) matrix."""
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise DatasetError(f"{path}: cannot read blob ({exc.strerror})") from exc
     if len(raw) < 12 or raw[:4] != _MAGIC:
         raise DatasetError(f"{path}: not an ALF1 blob")
     count, dim = struct.unpack("<II", raw[4:12])
@@ -126,7 +129,11 @@ def _read_manifest(path: Path):
     instances: list[InstanceRecord] = []
     gts: list[GroundTruthObject] = []
     inline: dict[str, tuple[array, list[int]]] = defaultdict(lambda: (array("d"), []))
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise DatasetError(f"{path}: cannot read ({exc.strerror})") from exc
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -297,10 +304,8 @@ def write_dataset(dataset: Dataset, manifest_path) -> None:
     blobs = {}
     for i, v in enumerate(dataset.views):
         name = _blob_name(i, v.name)
-        rows = np.zeros((len(dataset.instances), v.dim), dtype=np.float64)
-        for j, r in enumerate(dataset.instances):
-            rows[j] = r.features[v.name]
-        write_blob(manifest_path.parent / name, rows)
+        rows = np.array([r.features[v.name] for r in dataset.instances], dtype=np.float64)
+        write_blob(manifest_path.parent / name, rows.reshape(len(dataset.instances), v.dim))
         blobs[v.name] = name
 
     header = {

@@ -1,14 +1,20 @@
 """Distances over feature views and PCA compression.
 
 Selection operates in a fused metric: a nonnegative-weighted sum of
-per-view cosine distances. Views can optionally be PCA-compressed per
-round before distances are taken.
+per-view cosine distances. With unit vectors a_v, b_v (a zero vector stays
+zero) and Lambda = sum_v lam_v,
+
+    sum_v lam_v * (1 - a_v . b_v) = Lambda - E_a . E_b,
+
+where E concatenates the blocks sqrt(lam_v) * a_v, so ``FusedCosineMetric``
+embeds records once and takes distances as one matrix product. Views can
+optionally be PCA-compressed per round before distances are taken.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -17,7 +23,6 @@ from .records import InstanceRecord, ViewSpec
 
 __all__ = [
     "cosine_distance",
-    "cosine_distance_matrix",
     "fused_distance",
     "FusedCosineMetric",
     "PcaModel",
@@ -51,27 +56,6 @@ def cosine_distance(u, v) -> float:
     return 1.0 - sim
 
 
-def cosine_distance_matrix(A, B) -> np.ndarray:
-    """Pairwise cosine distances between the rows of A and of B.
-
-    Zero-norm rows follow the same convention as ``cosine_distance``:
-    distance 1 against everything.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    if A.shape[1] != B.shape[1]:
-        raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
-    na = np.linalg.norm(A, axis=1)
-    nb = np.linalg.norm(B, axis=1)
-    # Zero rows normalize to zero vectors, whose similarity is 0 and
-    # distance therefore exactly 1.
-    na = np.where(na == 0.0, 1.0, na)
-    nb = np.where(nb == 0.0, 1.0, nb)
-    sims = (A / na[:, None]) @ (B / nb[:, None]).T
-    np.clip(sims, -1.0, 1.0, out=sims)
-    return 1.0 - sims
-
-
 def fused_distance(a: InstanceRecord, b: InstanceRecord, views: Sequence[ViewSpec]) -> float:
     """Weighted sum of per-view cosine distances between two instances.
 
@@ -90,7 +74,8 @@ def fused_distance(a: InstanceRecord, b: InstanceRecord, views: Sequence[ViewSpe
 
 
 class FusedCosineMetric:
-    """Callable fused-cosine distance with a vectorized pairwise path.
+    """Fused-cosine distance: ``embed`` records once, then ``between``
+    two embeddings is one matrix product (see the module docstring).
 
     Weights are used exactly as configured; a warning is logged when they
     do not sum to 1 since the reference configuration is normalized.
@@ -99,24 +84,31 @@ class FusedCosineMetric:
     def __init__(self, views: Sequence[ViewSpec]):
         if not views:
             raise ValueError("metric needs at least one view")
+        negative = [v.name for v in views if v.lam < 0]
+        if negative:
+            raise ValueError(f"view weights must be >= 0; negative for {negative}")
         self.views = tuple(views)
-        total = sum(v.lam for v in self.views)
-        if abs(total - 1.0) > 1e-9:
-            logger.warning("view weights sum to %.12g, not 1; using them as configured", total)
+        self.total = sum(v.lam for v in self.views)
+        if abs(self.total - 1.0) > 1e-9:
+            logger.warning("view weights sum to %.12g, not 1; using them as configured", self.total)
 
-    def __call__(self, a: InstanceRecord, b: InstanceRecord) -> float:
-        return fused_distance(a, b, self.views)
+    def embed(self, records: Sequence[InstanceRecord]) -> np.ndarray:
+        """One row per record: each view's unit vector (zero stays zero)
+        times sqrt(lam_v), concatenated; shape (len(records), sum of dims)."""
+        blocks = []
+        for v in self.views:
+            X = np.array([r.features[v.name] for r in records], dtype=np.float64).reshape(len(records), v.dim)
+            norms = np.linalg.norm(X, axis=1, keepdims=True)
+            blocks.append(np.sqrt(v.lam) * (X / np.where(norms == 0.0, 1.0, norms)))
+        return np.hstack(blocks)
+
+    def between(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """Fused distances between the rows of two embeddings, shape (len(A), len(B))."""
+        return self.total - A @ B.T
 
     def pairwise(self, xs: Sequence[InstanceRecord], zs: Sequence[InstanceRecord]) -> np.ndarray:
         """Fused distances between two record sequences, shape (len(xs), len(zs))."""
-        out = np.zeros((len(xs), len(zs)), dtype=np.float64)
-        if not len(xs) or not len(zs):
-            return out
-        for v in self.views:
-            A = np.stack([x.features[v.name] for x in xs])
-            B = np.stack([z.features[v.name] for z in zs])
-            out += v.lam * cosine_distance_matrix(A, B)
-        return out
+        return self.between(self.embed(xs), self.embed(zs))
 
 
 @dataclass(frozen=True)
@@ -194,22 +186,19 @@ def compress_views(
 ) -> list[InstanceRecord]:
     """PCA-compress each view over all given records jointly.
 
-    Fits one model per view on the stacked feature matrix of ``records``
-    and returns copies of the records carrying the compressed vectors.
-    Distances taken afterwards live in the compressed space.
+    Fits one model per view on the stacked feature matrix of ``records``,
+    projects that matrix in one call and returns copies of the records
+    carrying the compressed vectors. Distances taken afterwards live in
+    the compressed space.
     """
-    import dataclasses
-
-    models = {}
+    projected = {}
     for v in views:
         X = np.stack([r.features[v.name] for r in records])
-        models[v.name] = pca_fit(X, var_keep)
-
+        projected[v.name] = pca_transform(pca_fit(X, var_keep), X)
     out = []
-    for r in records:
+    for i, r in enumerate(records):
         feats = dict(r.features)
-        for v in views:
-            m = models[v.name]
-            feats[v.name] = pca_transform(m, r.features[v.name][None, :])[0]
-        out.append(dataclasses.replace(r, features=feats))
+        for name, Z in projected.items():
+            feats[name] = Z[i]
+        out.append(replace(r, features=feats))
     return out

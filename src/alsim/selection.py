@@ -25,6 +25,11 @@ incremental per-candidate min-distance cache makes a k-pick batch cost
 O(k * |pool|) distance evaluations instead of recomputing every
 candidate-reference pair each step. The other kinds score their eligible
 records once and sort once.
+
+A metric is any object with ``embed(records)`` (one row per record) and
+``between(A, B)`` (the distance matrix between rows of two embeddings),
+such as ``FusedCosineMetric``. Greedy selection embeds the pool and the
+labeled set once, so each pick costs one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -69,9 +74,6 @@ STRATEGY_KINDS = (
 # features, or detector views plus the visual view).
 CORESET_KINDS = ("coreset", "coreset_box3d", "ideal")
 
-DistanceFn = Callable[[InstanceRecord, InstanceRecord], float]
-
-
 @dataclass(frozen=True)
 class DepthFilters:
     """Eligibility filter for the far-depth baseline."""
@@ -94,21 +96,10 @@ class StrategyConfig:
             raise ValueError(f"strategy {self.kind!r} needs a nonempty view list")
 
 
-def _pairwise(dist, xs: Sequence[InstanceRecord], zs: Sequence[InstanceRecord]) -> np.ndarray:
-    pw = getattr(dist, "pairwise", None)
-    if pw is not None:
-        return pw(xs, zs)
-    out = np.empty((len(xs), len(zs)), dtype=np.float64)
-    for i, x in enumerate(xs):
-        for j, z in enumerate(zs):
-            out[i, j] = dist(x, z)
-    return out
-
-
 def iter_coreset_picks(
     pool: Sequence[InstanceRecord],
     labeled: Sequence[InstanceRecord],
-    dist: DistanceFn,
+    dist,
 ) -> Iterator[tuple[InstanceRecord, float]]:
     """Yield pool instances in greedy farthest-first order with their scores.
 
@@ -124,7 +115,8 @@ def iter_coreset_picks(
         return
 
     ids = np.array([r.instance_id for r in pool], dtype=np.int64)
-    mins = _pairwise(dist, pool, labeled).min(axis=1)
+    E = dist.embed(pool)
+    mins = dist.between(E, dist.embed(labeled)).min(axis=1)
     active = np.ones(len(pool), dtype=bool)
 
     for _ in range(len(pool)):
@@ -136,13 +128,13 @@ def iter_coreset_picks(
         active[pick] = False
         if not active.any():
             return
-        mins = np.minimum(mins, _pairwise(dist, pool, [pool[pick]])[:, 0])
+        mins = np.minimum(mins, dist.between(E, E[pick : pick + 1])[:, 0])
 
 
 def coreset_select(
     pool: Sequence[InstanceRecord],
     labeled: Sequence[InstanceRecord],
-    dist: DistanceFn,
+    dist,
     k: int,
 ) -> list[int]:
     """Greedy k-center batch: the first k farthest-first picks, in order.
@@ -249,7 +241,7 @@ def rank_pool(
     pool: Sequence[InstanceRecord],
     cfg: StrategyConfig,
     labeled: Sequence[InstanceRecord] | None = None,
-    metric: DistanceFn | None = None,
+    metric=None,
     seed: int | None = None,
 ) -> Iterator[tuple[InstanceRecord, float]]:
     """Yield (record, score) pairs best-first under the given strategy.

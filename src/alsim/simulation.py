@@ -16,7 +16,7 @@ training on sparsely labeled images.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ from .features import FusedCosineMetric, compress_views
 from .geometry import match_request, suppress_duplicate
 from .metrics import Curve, CurvePoint
 from .records import Box2D, CameraModel, Dataset, GroundTruthObject, InstanceRecord, ViewSpec
-from .selection import CORESET_KINDS, StrategyConfig, _pairwise, rank_pool, validate_strategy_setup
+from .selection import CORESET_KINDS, StrategyConfig, rank_pool, validate_strategy_setup
 
 __all__ = [
     "LOSS_SUBTASKS",
@@ -143,6 +143,8 @@ class CampaignConfig:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
         if not 0.0 <= self.initial_fraction <= 1.0:
             raise ValueError(f"initial_fraction must be in [0, 1], got {self.initial_fraction}")
+        if self.initial_fraction == 0.0 and self.strategy.kind in CORESET_KINDS:
+            raise ValueError(f"initial_fraction must be > 0 for greedy strategy {self.strategy.kind!r}")
         if not self.h_scale > 0:
             raise ValueError(f"h_scale must be > 0, got {self.h_scale}")
         if self.pca_var_keep is not None and not 0.0 < self.pca_var_keep <= 1.0:
@@ -304,13 +306,14 @@ def run_round(
     ranked_pool: Sequence[InstanceRecord] = pool
     ranked_labeled: Sequence[InstanceRecord] = labeled_records
     if cfg.strategy.kind in CORESET_KINDS:
-        metric = FusedCosineMetric(cfg.strategy.views)
+        views = cfg.strategy.views
         if cfg.pca_var_keep is not None:
-            combined = compress_views(
-                list(labeled_records) + list(pool), cfg.strategy.views, cfg.pca_var_keep
-            )
+            combined = compress_views(list(labeled_records) + list(pool), views, cfg.pca_var_keep)
             ranked_labeled = combined[: len(labeled_records)]
             ranked_pool = combined[len(labeled_records) :]
+            # Each view keeps as many components as its variance cutoff needs.
+            views = tuple(replace(v, dim=combined[0].features[v.name].shape[0]) for v in views)
+        metric = FusedCosineMetric(views)
 
     priors = _prior_requests_by_image(state, data)
     gts_by_image: dict[str, list[GroundTruthObject]] = {}
@@ -468,11 +471,12 @@ def covering_radius(
     """Largest distance from any instance to its nearest labeled instance.
 
     The k-center objective over the full instance set; smaller is better.
+    ``metric`` has ``embed`` and ``between``, like ``FusedCosineMetric``.
     """
     if not len(labeled):
         return math.inf
-    everything = list(labeled) + list(pool)
-    return float(_pairwise(metric, everything, labeled).min(axis=1).max())
+    E = metric.embed(list(labeled) + list(pool))
+    return float(metric.between(E, E[: len(labeled)]).min(axis=1).max())
 
 
 def covering_radius_hook(metric) -> PerformanceHook:

@@ -52,8 +52,22 @@ def scalar_records(values, ids=None):
     return [make_record(i, features={"v": [float(x)]}) for i, x in zip(ids, values)]
 
 
-def euclid1d(a, b):
-    return abs(float(a.features["v"][0]) - float(b.features["v"][0]))
+class _Euclid1D:
+    """Absolute difference of the 1-D feature "v": a scalar callable for
+    brute-force references, plus the ``embed``/``between`` pair that
+    selection and the covering radius use."""
+
+    def __call__(self, a, b):
+        return abs(float(a.features["v"][0]) - float(b.features["v"][0]))
+
+    def embed(self, records):
+        return np.array([float(r.features["v"][0]) for r in records]).reshape(len(records), 1)
+
+    def between(self, A, B):
+        return np.abs(A - B.T)
+
+
+euclid1d = _Euclid1D()
 
 
 def build_dataset(instances, gts, views=(), camera=None):

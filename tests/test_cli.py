@@ -57,6 +57,12 @@ class TestIngest:
         data = load_dataset(manifest)
         assert len(data.instances) == 3
 
+    def test_missing_input_exit_1(self, tmp_path, capsys):
+        missing = tmp_path / "absent.jsonl"
+        assert main(["ingest", "--input", str(missing), "--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {missing}: cannot read")
+        assert not (tmp_path / "out").exists()
+
     def test_duplicate_ids_exit_1(self, tmp_path, capsys):
         raw = tmp_path / "raw.jsonl"
         write_raw(raw, raw_lines(duplicate_id=True))
@@ -186,6 +192,22 @@ class TestSimulate:
         out = tmp_path / "runs_coreset"
         assert main(["simulate", "--config", str(config_path), "--out", str(out), "--seed", "0"]) == 0
         assert (out / "seed_0" / "curve.csv").exists()
+
+    def test_missing_dataset_exit_1(self, sim_setup, capsys):
+        config, config_path, tmp_path = sim_setup
+        config["dataset"] = str(tmp_path / "absent.jsonl")
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'absent.jsonl'}: cannot read")
+
+    @pytest.mark.parametrize("kind", ["random", "coreset"])
+    def test_zero_initial_fraction_exit_2(self, sim_setup, capsys, kind):
+        config, config_path, tmp_path = sim_setup
+        config["strategy"] = {"kind": kind}
+        config["campaign"]["initial_fraction"] = 0
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+        assert "initial_fraction must be > 0" in capsys.readouterr().err
 
     def test_missing_config_key_exit_2(self, sim_setup, capsys):
         config, config_path, tmp_path = sim_setup

@@ -201,3 +201,10 @@ class TestLoadErrors:
         manifest = self._write_manifest(tmp_path, lines)
         with pytest.raises(DatasetError, match=message):
             load_dataset(manifest)
+
+    def test_missing_files_name_the_path(self, tmp_path):
+        with pytest.raises(DatasetError, match="absent.jsonl: cannot read"):
+            load_dataset(tmp_path / "absent.jsonl")
+        manifest = self._write_manifest(tmp_path, [self._header({"v": "v.alf"}), self._instance(0)])
+        with pytest.raises(DatasetError, match="v.alf: cannot read blob"):
+            load_dataset(manifest)

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alsim.features import (
     FusedCosineMetric,
     compress_views,
     cosine_distance,
-    cosine_distance_matrix,
     fused_distance,
     pca_fit,
     pca_transform,
@@ -55,7 +56,11 @@ class TestCosineDistance:
         A = rng.normal(size=(7, 5))
         B = rng.normal(size=(4, 5))
         B[2] = 0.0  # zero row follows the distance-1 convention
-        D = cosine_distance_matrix(A, B)
+        metric = FusedCosineMetric((ViewSpec("x", 5, 1.0),))
+        D = metric.pairwise(
+            [make_record(i, features={"x": a}) for i, a in enumerate(A)],
+            [make_record(10 + j, features={"x": b}) for j, b in enumerate(B)],
+        )
         for i in range(7):
             for j in range(4):
                 assert D[i, j] == pytest.approx(cosine_distance(A[i], B[j]), abs=1e-12)
@@ -134,7 +139,7 @@ class TestFusedDistance:
         D = metric.pairwise(xs, zs)
         for i, x in enumerate(xs):
             for j, z in enumerate(zs):
-                assert D[i, j] == pytest.approx(metric(x, z), abs=1e-12)
+                assert D[i, j] == pytest.approx(fused_distance(x, z, views), abs=1e-12)
 
     def test_weight_sum_warning(self, caplog):
         import logging
@@ -142,6 +147,55 @@ class TestFusedDistance:
         with caplog.at_level(logging.WARNING):
             FusedCosineMetric((ViewSpec("a", 2, 0.2), ViewSpec("b", 2, 0.2)))
         assert any("sum to" in m for m in caplog.messages)
+
+
+@st.composite
+def views_and_records(draw):
+    """1-4 views with weights in [0, 1] (0 included), and two record lists
+    (possibly empty) whose vectors are small exact floats, some rows zero."""
+    views = tuple(
+        ViewSpec(f"v{i}", draw(st.integers(1, 4)), draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))))
+        for i in range(draw(st.integers(1, 4)))
+    )
+
+    def vector(dim):
+        if draw(st.booleans()):
+            return np.zeros(dim)
+        return np.array(draw(st.lists(st.integers(-8, 8), min_size=dim, max_size=dim)), dtype=np.float64) / 4
+
+    def records(first_id):
+        n = draw(st.integers(0, 4))
+        return [make_record(first_id + i, features={v.name: vector(v.dim) for v in views}) for i in range(n)]
+
+    return views, records(0), records(100)
+
+
+class TestEmbedding:
+    @settings(deadline=None)
+    @given(fixture=views_and_records())
+    def test_between_embeddings_equals_scalar_reference(self, fixture):
+        views, xs, zs = fixture
+        metric = FusedCosineMetric(views)
+        D = metric.between(metric.embed(xs), metric.embed(zs))
+        assert D.shape == (len(xs), len(zs))
+        for i, x in enumerate(xs):
+            for j, z in enumerate(zs):
+                assert abs(D[i, j] - fused_distance(x, z, views)) <= 1e-12
+
+    @settings(deadline=None)
+    @given(fixture=views_and_records())
+    def test_empty_inputs_keep_their_shapes(self, fixture):
+        views, xs, _ = fixture
+        metric = FusedCosineMetric(views)
+        empty, E = metric.embed([]), metric.embed(xs)
+        assert empty.shape == (0, sum(v.dim for v in views))
+        assert metric.between(empty, E).shape == (0, len(xs))
+        assert metric.between(E, empty).shape == (len(xs), 0)
+
+    @given(lam=st.floats(max_value=0.0, exclude_max=True, allow_nan=False))
+    def test_negative_weight_refused(self, lam):
+        with pytest.raises(ValueError, match="negative"):
+            FusedCosineMetric((ViewSpec("a", 2, 0.5), ViewSpec("b", 2, lam)))
 
 
 class TestPca:
@@ -245,5 +299,14 @@ class TestCompressViews:
         assert compressed[0].features["a"].shape[0] <= 6
         # full-variance compression is an isometry, so cosine geometry may
         # change but identity distances stay zero
-        metric = FusedCosineMetric(views)
-        assert metric(compressed[3], compressed[3]) == pytest.approx(0.0, abs=1e-12)
+        assert fused_distance(compressed[3], compressed[3], views) == pytest.approx(0.0, abs=1e-12)
+
+    def test_matches_per_record_projection(self, rng):
+        views = (ViewSpec("a", 6, 0.5), ViewSpec("b", 4, 0.5))
+        records = [make_record(i, features={v.name: rng.normal(size=v.dim) for v in views}) for i in range(30)]
+        compressed = compress_views(records, views, 0.9)
+        for v in views:
+            model = pca_fit(np.stack([r.features[v.name] for r in records]), 0.9)
+            for r, c in zip(records, compressed):
+                expected = pca_transform(model, r.features[v.name][None, :])[0]
+                assert np.allclose(c.features[v.name], expected, rtol=0.0, atol=1e-12)

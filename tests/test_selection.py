@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alsim.features import FusedCosineMetric
+from alsim.features import FusedCosineMetric, fused_distance
 from alsim.records import ViewSpec
 from alsim.selection import (
     CORESET_KINDS,
@@ -128,7 +128,7 @@ class TestCoresetSelect:
         picks = []
         for record, score in iter_coreset_picks(pool, labeled, metric):
             refs = labeled + picks
-            expected = min(metric(record, z) for z in refs)
+            expected = min(fused_distance(record, z, views) for z in refs)
             assert score == pytest.approx(expected, abs=1e-12)
             picks.append(record)
         assert len(picks) == len(pool)
@@ -375,6 +375,28 @@ class TestRankPoolProperties:
         cfg = StrategyConfig(kind="coreset", views=(ViewSpec("v", 1, 1.0),))
         ranking = rank_pool(pool, cfg, labeled=labeled, metric=euclid1d)
         assert [r.instance_id for r, _ in islice(ranking, k)] == greedy_oracle(pool, labeled, euclid1d, k)
+
+
+class TestEmbeddedGreedy:
+    @settings(deadline=None)
+    @given(n_pool=st.integers(1, 12), n_labeled=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_full_traversal_embeds_twice(self, n_pool, n_labeled, seed):
+        rng = np.random.default_rng(seed)
+        views = (ViewSpec("a", 3, 0.5), ViewSpec("b", 2, 0.5))
+        records = [
+            make_record(i, features={v.name: rng.normal(size=v.dim) for v in views})
+            for i in range(n_pool + n_labeled)
+        ]
+        calls = []
+
+        class CountingMetric(FusedCosineMetric):
+            def embed(self, recs):
+                calls.append(len(recs))
+                return super().embed(recs)
+
+        picks = list(iter_coreset_picks(records[:n_pool], records[n_pool:], CountingMetric(views)))
+        assert sorted(r.instance_id for r, _ in picks) == list(range(n_pool))
+        assert sorted(calls) == sorted([n_pool, n_labeled])
 
 
 class TestWithEnsembleDepths:

@@ -6,8 +6,8 @@ import pytest
 
 from alsim.features import FusedCosineMetric
 from alsim.geometry import match_request
-from alsim.records import Box2D, CameraModel
-from alsim.selection import StrategyConfig, ensemble_depth_variance
+from alsim.records import Box2D, CameraModel, ViewSpec
+from alsim.selection import CORESET_KINDS, StrategyConfig, ensemble_depth_variance
 from alsim.simulation import (
     CampaignConfig,
     RoundState,
@@ -284,6 +284,11 @@ def small_spec(clusters=4, per_cluster=6, **kw):
 class TestRunCampaign:
     def hook(self, labeled, pool):
         return float(len(labeled))
+
+    @pytest.mark.parametrize("kind", CORESET_KINDS)
+    def test_greedy_kinds_refuse_zero_initial_fraction(self, kind):
+        with pytest.raises(ValueError, match="initial_fraction must be > 0"):
+            round_config((3,), kind=kind, views=(ViewSpec("v", 1, 1.0),))
 
     def test_zero_rounds_gives_initial_point_only(self):
         data = generate_synthetic(small_spec(), seed=0)
