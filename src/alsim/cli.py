@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -19,6 +20,8 @@ from .selection import CORESET_KINDS, STRATEGY_KINDS, DepthFilters, StrategyConf
 from .simulation import CampaignConfig, covering_radius_hook, run_campaign
 
 __all__ = ["main"]
+
+logger = logging.getLogger(__name__)
 
 
 def _config_hash(obj) -> str:
@@ -170,6 +173,12 @@ def cmd_simulate(args) -> int:
         )
 
     n_rounds = min(len(c.points) for c in curves)
+    if any(len(c.points) != n_rounds for c in curves):
+        logger.warning(
+            "curve_mean.csv keeps the first %d points, the shortest seed's curve; points per seed: %s",
+            n_rounds,
+            ", ".join(f"seed {s}: {len(c.points)}" for s, c in zip(seeds, curves)),
+        )
     mean_pairs = []
     for i in range(n_rounds):
         xs = [c.points[i].x for c in curves]

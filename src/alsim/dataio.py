@@ -118,6 +118,18 @@ def _parse_gt(obj: dict) -> GroundTruthObject:
     )
 
 
+def _non_utf8_location(path: Path) -> str:
+    """``path:line`` of the first line (split on newlines) that is not
+    UTF-8, or the bare path if every line decodes."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return f"{path}:{lineno}"
+    return str(path)
+
+
 def _read_manifest(path: Path):
     """Parse every line of a manifest or raw export.
 
@@ -134,29 +146,33 @@ def _read_manifest(path: Path):
     except OSError as exc:
         raise DatasetError(f"{path}: cannot read ({exc.strerror})") from exc
     with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-            kind = obj.get("kind") if isinstance(obj, dict) else None
-            if kind == "header":
-                if header is not None:
-                    raise DatasetError(f"{path}:{lineno}: duplicate header line")
-                header = obj
-                continue
-            if kind not in ("instance", "gt"):
-                raise DatasetError(f"{path}:{lineno}: unknown record kind {kind!r}")
-            try:
-                if kind == "instance":
-                    instances.append(_parse_instance(obj, inline))
-                else:
-                    gts.append(_parse_gt(obj))
-            except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise DatasetError(f"{path}:{lineno}: malformed {kind} line ({exc!r})") from exc
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+                kind = obj.get("kind") if isinstance(obj, dict) else None
+                if kind == "header":
+                    if header is not None:
+                        raise DatasetError(f"{path}:{lineno}: duplicate header line")
+                    header = obj
+                    continue
+                if kind not in ("instance", "gt"):
+                    raise DatasetError(f"{path}:{lineno}: unknown record kind {kind!r}")
+                try:
+                    if kind == "instance":
+                        instances.append(_parse_instance(obj, inline))
+                    else:
+                        gts.append(_parse_gt(obj))
+                except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+                    raise DatasetError(f"{path}:{lineno}: malformed {kind} line ({exc!r})") from exc
+        except UnicodeDecodeError as exc:
+            # Text is decoded in chunks, so the failing line is found again.
+            raise DatasetError(f"{_non_utf8_location(path)}: not UTF-8 text ({exc.reason})") from exc
     if header is None:
         raise DatasetError(f"{path}: manifest has no header line")
     return header, instances, gts, inline

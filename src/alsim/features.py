@@ -8,7 +8,7 @@ zero) and Lambda = sum_v lam_v,
 
 where E concatenates the blocks sqrt(lam_v) * a_v, so ``FusedCosineMetric``
 embeds records once and takes distances as one matrix product. Views can
-optionally be PCA-compressed per round before distances are taken.
+optionally be PCA-compressed before distances are taken.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ __all__ = [
     "cosine_distance",
     "fused_distance",
     "FusedCosineMetric",
+    "fold_min_distances",
     "PcaModel",
     "pca_fit",
     "pca_transform",
@@ -104,11 +105,31 @@ class FusedCosineMetric:
 
     def between(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Fused distances between the rows of two embeddings, shape (len(A), len(B))."""
-        return self.total - A @ B.T
+        D = A @ B.T
+        # In place: one len(A) x len(B) matrix, not two.
+        return np.subtract(self.total, D, out=D)
 
     def pairwise(self, xs: Sequence[InstanceRecord], zs: Sequence[InstanceRecord]) -> np.ndarray:
         """Fused distances between two record sequences, shape (len(xs), len(zs))."""
         return self.between(self.embed(xs), self.embed(zs))
+
+
+# Reference rows per distance block in ``fold_min_distances``: at most
+# len(E) x FOLD_BLOCK distances exist at once, whatever the reference size.
+FOLD_BLOCK = 1024
+
+
+def fold_min_distances(metric, E: np.ndarray, R: np.ndarray, mins: np.ndarray) -> np.ndarray:
+    """Lower ``mins`` in place to each row of ``E``'s minimum distance to
+    the rows of ``R`` and return it.
+
+    ``metric.between`` is taken over ``FOLD_BLOCK`` rows of ``R`` at a
+    time, so the minimum over a large reference set never needs the whole
+    len(E) x len(R) matrix.
+    """
+    for start in range(0, len(R), FOLD_BLOCK):
+        np.minimum(mins, metric.between(E, R[start : start + FOLD_BLOCK]).min(axis=1), out=mins)
+    return mins
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .features import fold_min_distances
 from .geometry import associate_ensemble
 from .records import InstanceRecord, ViewSpec
 
@@ -116,7 +117,7 @@ def iter_coreset_picks(
 
     ids = np.array([r.instance_id for r in pool], dtype=np.int64)
     E = dist.embed(pool)
-    mins = dist.between(E, dist.embed(labeled)).min(axis=1)
+    mins = fold_min_distances(dist, E, dist.embed(labeled), np.full(len(pool), np.inf))
     active = np.ones(len(pool), dtype=bool)
 
     for _ in range(len(pool)):

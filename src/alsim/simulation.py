@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .features import FusedCosineMetric, compress_views
+from .features import FusedCosineMetric, compress_views, fold_min_distances
 from .geometry import match_request, suppress_duplicate
 from .metrics import Curve, CurvePoint
 from .records import Box2D, CameraModel, Dataset, GroundTruthObject, InstanceRecord, ViewSpec
@@ -261,6 +261,16 @@ def _labeled_records(state: RoundState, data: Dataset) -> list[InstanceRecord]:
     ]
 
 
+def _compress(
+    records: Sequence[InstanceRecord], views: Sequence[ViewSpec], var_keep: float
+) -> tuple[list[InstanceRecord], tuple[ViewSpec, ...]]:
+    """PCA-compress ``views`` over ``records``; return the compressed copies
+    and the views carrying their compressed dims, which ``embed`` needs."""
+    compressed = compress_views(records, views, var_keep)
+    # Each view keeps as many components as its variance cutoff needs.
+    return compressed, tuple(replace(v, dim=compressed[0].features[v.name].shape[0]) for v in views)
+
+
 def _prior_requests_by_image(state: RoundState, data: Dataset) -> dict[str, list]:
     by_id = {r.instance_id: r for r in data.instances}
     priors: dict[str, list] = {}
@@ -308,11 +318,9 @@ def run_round(
     if cfg.strategy.kind in CORESET_KINDS:
         views = cfg.strategy.views
         if cfg.pca_var_keep is not None:
-            combined = compress_views(list(labeled_records) + list(pool), views, cfg.pca_var_keep)
+            combined, views = _compress(list(labeled_records) + list(pool), views, cfg.pca_var_keep)
             ranked_labeled = combined[: len(labeled_records)]
             ranked_pool = combined[len(labeled_records) :]
-            # Each view keeps as many components as its variance cutoff needs.
-            views = tuple(replace(v, dim=combined[0].features[v.name].shape[0]) for v in views)
         metric = FusedCosineMetric(views)
 
     priors = _prior_requests_by_image(state, data)
@@ -418,7 +426,13 @@ def run_campaign(
     seeded labels are not charged to the budget, so the curve starts at
     x = 0. The hook receives (labeled instances, remaining pool) and
     returns the y value; at desk scale this is a surrogate such as the
-    fused-metric covering radius rather than a detector score.
+    fused-metric covering radius rather than a detector score. The hook
+    always sees the dataset's own records, in dataset order.
+
+    With ``pca_var_keep`` set for a greedy kind, PCA is fit once per
+    campaign over every instance of ``data`` (labeled + pool is always the
+    whole export), and every round ranks on that compressed copy; calling
+    ``run_round`` directly instead refits on each call.
     """
     validate_strategy_setup(cfg.strategy, list(data.instances))
     missing_depth = [r.instance_id for r in data.instances if r.pred_depth is None]
@@ -443,21 +457,32 @@ def run_campaign(
         history=(),
     )
 
-    def split():
-        labeled = _labeled_records(state, data)
-        labeled_ids = {r.instance_id for r in labeled}
-        return labeled, [r for r in data.instances if r.instance_id not in labeled_ids]
+    def split(records):
+        labeled_ids = {r.instance_id for r in _labeled_records(state, data)}
+        return (
+            [r for r in records if r.instance_id in labeled_ids],
+            [r for r in records if r.instance_id not in labeled_ids],
+        )
 
-    labeled, pool = split()
+    labeled, pool = split(data.instances)
     points = [CurvePoint(0.0, float(performance_hook(labeled, pool)))]
+
+    # The rounds rank on ``ranked``: ``data`` itself, or its records with
+    # the strategy's views PCA-compressed once, in the same order.
+    ranked, round_cfg = data, cfg
+    if pool and cfg.round_budgets and cfg.pca_var_keep is not None and cfg.strategy.kind in CORESET_KINDS:
+        compressed, views = _compress(data.instances, cfg.strategy.views, cfg.pca_var_keep)
+        ranked = replace(data, instances=tuple(compressed))
+        round_cfg = replace(cfg, strategy=replace(cfg.strategy, views=views), pca_var_keep=None)
 
     for _ in cfg.round_budgets:
         if not pool:
             break
-        state, log = run_round(state, data, cfg, pool)
+        round_pool = pool if ranked is data else split(ranked.instances)[1]
+        state, log = run_round(state, ranked, round_cfg, round_pool)
         if log.charged == 0:
             break
-        labeled, pool = split()
+        labeled, pool = split(data.instances)
         points.append(CurvePoint(float(state.requested_total), float(performance_hook(labeled, pool))))
 
     return Curve(tuple(points)), state
@@ -476,16 +501,74 @@ def covering_radius(
     if not len(labeled):
         return math.inf
     E = metric.embed(list(labeled) + list(pool))
-    return float(metric.between(E, E[: len(labeled)]).min(axis=1).max())
+    return float(fold_min_distances(metric, E, E[: len(labeled)], np.full(len(E), np.inf)).max())
+
+
+class _CoveringRadiusHook:
+    """State of ``covering_radius_hook``: the embedded instance set and
+    each instance's minimum distance to the rows labeled so far."""
+
+    def __init__(self, metric):
+        self.metric = metric
+        # Records are eq=False, so rows are found by object identity; the
+        # list keeps them alive so no id() is reused while it is a key.
+        self.instances: list[InstanceRecord] = []
+        self.row_of: dict[int, int] = {}
+        self.E = np.zeros((0, 0))
+        self.mins = np.zeros(0)
+        self.folded = np.zeros(0, dtype=bool)
+
+    def _labeled_rows(self, labeled, pool) -> np.ndarray | None:
+        """Mask of ``labeled``'s rows when labeled + pool is the embedded
+        instance set and contains every row folded so far, else None."""
+        n = len(self.instances)
+        if len(labeled) + len(pool) != n:
+            return None
+        is_labeled = np.zeros(n, dtype=bool)
+        seen = np.zeros(n, dtype=bool)
+        try:
+            is_labeled[[self.row_of[id(r)] for r in labeled]] = True
+            seen[[self.row_of[id(r)] for r in pool]] = True
+        except KeyError:
+            return None
+        seen |= is_labeled
+        if not seen.all() or (self.folded & ~is_labeled).any():
+            return None
+        return is_labeled
+
+    def __call__(self, labeled, pool) -> float:
+        if not len(labeled):
+            return math.inf
+        is_labeled = self._labeled_rows(labeled, pool)
+        if is_labeled is None:
+            self.instances = list(labeled) + list(pool)
+            self.row_of = {id(r): i for i, r in enumerate(self.instances)}
+            self.E = self.metric.embed(self.instances)
+            self.mins = np.full(len(self.instances), np.inf)
+            self.folded = np.zeros(len(self.instances), dtype=bool)
+            is_labeled = np.zeros(len(self.instances), dtype=bool)
+            is_labeled[: len(labeled)] = True
+        new = np.flatnonzero(is_labeled & ~self.folded)
+        fold_min_distances(self.metric, self.E, self.E[new], self.mins)
+        self.folded = is_labeled
+        return float(self.mins.max())
 
 
 def covering_radius_hook(metric) -> PerformanceHook:
-    """Performance hook measuring the covering radius under ``metric``."""
+    """Performance hook measuring the covering radius under ``metric``.
 
-    def hook(labeled, pool):
-        return covering_radius(labeled, pool, metric)
-
-    return hook
+    Equal to ``covering_radius`` on every call (up to rounding in the last
+    bits), but incremental: the first call embeds the instance set
+    (labeled + pool) once, and while later calls pass the same records
+    with a labeled set that only grew, only the newly labeled rows are
+    folded into each instance's minimum distance, in blocks of
+    ``FOLD_BLOCK`` rows, so no call holds more than N x FOLD_BLOCK
+    distances. Any other call (a labeled record dropped, a record not seen
+    before, a different instance set) starts over. Records are matched by
+    identity, so a second dataset with the same instance ids is a
+    different set.
+    """
+    return _CoveringRadiusHook(metric)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
 import json
+import logging
+from dataclasses import replace
 
 import pytest
 
@@ -106,6 +108,14 @@ class TestIngest:
         assert "view 'v': non-finite feature values" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_utf16_input_exit_1(self, tmp_path, capsys):
+        raw = tmp_path / "raw.jsonl"
+        raw.write_bytes("\n".join(json.dumps(obj) for obj in raw_lines()).encode("utf-16"))
+        assert raw.read_bytes()[:2] == b"\xff\xfe"
+        assert main(["ingest", "--input", str(raw), "--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {raw}:1: not UTF-8 text")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("features", [{}, {"v": [1.0, 2.0, 3.0]}])
     def test_missing_or_misshapen_inline_view_rejected(self, tmp_path, capsys, features):
         lines = raw_lines()
@@ -144,6 +154,44 @@ class TestSimulate:
         assert (out / "curve_mean.csv").exists()
         curve = read_curve_csv(out / "seed_0" / "curve.csv")
         assert curve.points[0].x == 0.0
+
+    def test_short_seed_curve_logged_when_mean_is_cut(self, tmp_path, caplog):
+        # img0001 keeps one instance: a seed that labels img0000 first
+        # exhausts the pool after one round, one that labels img0001 runs
+        # all three.
+        data = generate_synthetic(SyntheticSpec(clusters=2, per_cluster=6), seed=0)
+        kept = lambda obj, ident: obj.image_id == "img0000" or ident == 6
+        data = replace(
+            data,
+            instances=tuple(r for r in data.instances if kept(r, r.instance_id)),
+            ground_truth=tuple(g for g in data.ground_truth if kept(g, g.gt_id)),
+            images={"img0000": 6, "img0001": 1},
+        )
+        manifest = tmp_path / "data" / "manifest.jsonl"
+        write_dataset(data, manifest)
+        config = {
+            "dataset": str(manifest),
+            "strategy": {"kind": "random"},
+            "campaign": {"round_budgets": [2, 4, 6], "initial_fraction": 0.5},
+        }
+        config_path = tmp_path / "run.json"
+
+        def simulate(seeds, out):
+            config_path.write_text(json.dumps(dict(config, seeds=seeds)), encoding="utf-8")
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="alsim.cli"):
+                assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+            return caplog.messages
+
+        messages = simulate([0, 1], tmp_path / "cut")
+        assert len(read_curve_csv(tmp_path / "cut" / "seed_0" / "curve.csv")) == 4
+        assert len(read_curve_csv(tmp_path / "cut" / "seed_1" / "curve.csv")) == 2
+        assert len(read_curve_csv(tmp_path / "cut" / "curve_mean.csv")) == 2
+        assert messages == [
+            "curve_mean.csv keeps the first 2 points, the shortest seed's curve; "
+            "points per seed: seed 0: 4, seed 1: 2"
+        ]
+        assert simulate([0, 2], tmp_path / "even") == []
 
     def test_round_log_event_schema(self, sim_setup):
         _, config_path, tmp_path = sim_setup

@@ -3,6 +3,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from alsim.dataio import DatasetError, load_dataset, read_blob, write_blob, write_dataset
 from alsim.records import ViewSpec
@@ -36,6 +39,23 @@ class TestBlob:
         path = tmp_path / "x.alf"
         write_blob(path, matrix)
         assert np.array_equal(read_blob(path), matrix)
+
+    @given(
+        matrix=hnp.arrays(
+            np.float32,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+            elements=st.floats(width=32, allow_nan=False, allow_infinity=False),
+        )
+    )
+    def test_float32_matrices_roundtrip_and_rewrite_identically(self, tmp_path_factory, matrix):
+        directory = tmp_path_factory.mktemp("blob")
+        first, second = directory / "a.alf", directory / "b.alf"
+        write_blob(first, matrix.astype(np.float64))
+        loaded = read_blob(first)
+        assert loaded.dtype == np.float64 and loaded.shape == matrix.shape
+        assert np.array_equal(loaded, matrix)
+        write_blob(second, loaded)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_layout(self, tmp_path):
         path = tmp_path / "x.alf"
@@ -200,6 +220,12 @@ class TestLoadErrors:
         mangle(lines)
         manifest = self._write_manifest(tmp_path, lines)
         with pytest.raises(DatasetError, match=message):
+            load_dataset(manifest)
+
+    def test_non_utf8_manifest_names_path_and_line(self, tmp_path):
+        manifest = self._write_manifest(tmp_path, [self._header({"v": "v.alf"})])
+        manifest.write_bytes(manifest.read_bytes() + b'{"kind": "gt", "image_id": "\xff"}\n')
+        with pytest.raises(DatasetError, match="manifest.jsonl:2: not UTF-8 text"):
             load_dataset(manifest)
 
     def test_missing_files_name_the_path(self, tmp_path):

@@ -1,6 +1,8 @@
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from alsim.metrics import Curve, CurvePoint, accounting_x, aurc_segment, interpolate_at_budget, naurc
 
@@ -108,6 +110,30 @@ class TestNaurc:
     def test_late_start_penalized_below_min(self):
         curve = Curve.from_pairs([(30.0, 1.0), (40.0, 1.0)])
         assert naurc(curve, 40.0) == pytest.approx(0.25, abs=1e-12)
+
+    @given(
+        level=st.floats(-1e3, 1e3),
+        xs=st.lists(st.floats(1e-3, 1e3), max_size=5, unique=True),
+        budget=st.floats(1e-3, 2e3),
+    )
+    def test_constant_curve_from_zero_scores_its_level(self, level, xs, budget):
+        curve = Curve.from_pairs((x, level) for x in [0.0, *sorted(xs)])
+        assert naurc(curve, budget) == pytest.approx(level, rel=1e-12, abs=1e-12)
+
+    @given(
+        points=st.lists(
+            st.tuples(st.floats(0.0, 1e3), st.floats(-1e3, 1e3), st.floats(0.0, 1e3)),
+            min_size=1, max_size=6, unique_by=lambda p: p[0],
+        ),
+        budget=st.floats(1e-3, 2e3),
+    )
+    def test_monotone_in_y(self, points, budget):
+        points = sorted(points)
+        low = Curve.from_pairs((x, y) for x, y, _ in points)
+        high = Curve.from_pairs((x, y + lift) for x, y, lift in points)
+        if budget > points[0][0]:
+            # Interpolation rounds to within an ulp of the level's magnitude.
+            assert naurc(high, budget) >= naurc(low, budget) - 1e-12 * 2e3
 
 
 def _ev(charged):

@@ -1,9 +1,14 @@
 import math
 from decimal import Decimal, getcontext
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from alsim import features, simulation
 from alsim.features import FusedCosineMetric
 from alsim.geometry import match_request
 from alsim.records import Box2D, CameraModel, ViewSpec
@@ -15,6 +20,7 @@ from alsim.simulation import (
     bagging_fraction,
     build_class_mask,
     covering_radius,
+    covering_radius_hook,
     generate_synthetic,
     masked_pointwise_loss,
     run_campaign,
@@ -355,6 +361,140 @@ class TestCoveringRadius:
 
     def test_empty_labeled_is_infinite(self):
         assert covering_radius([], scalar_records([1.0]), euclid1d) == math.inf
+
+
+@st.composite
+def labeling_orders(draw):
+    """1-4 views (weights 0 included), 1-10 records with small exact
+    vectors (some rows zero), the order in which they get labeled and a
+    nondecreasing list of labeled-set sizes."""
+    views = tuple(
+        ViewSpec(f"v{i}", draw(st.integers(1, 3)), draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])))
+        for i in range(draw(st.integers(1, 4)))
+    )
+    n = draw(st.integers(1, 10))
+
+    def vector(dim):
+        if draw(st.booleans()):
+            return np.zeros(dim)
+        return np.array(draw(st.lists(st.integers(-8, 8), min_size=dim, max_size=dim)), dtype=np.float64) / 4
+
+    def records():
+        return [make_record(i, features={v.name: vector(v.dim) for v in views}) for i in range(n)]
+
+    sizes = sorted(draw(st.lists(st.integers(1, n), min_size=1, max_size=5)))
+    return views, records, draw(st.permutations(range(n))), sizes
+
+
+def split_by_order(records, order, k):
+    """The first k records of ``order`` as labeled, the rest as the pool."""
+    labeled = set(order[:k])
+    return [records[i] for i in order[:k]], [r for i, r in enumerate(records) if i not in labeled]
+
+
+class TestCoveringRadiusHook:
+    @settings(deadline=None)
+    @given(fixture=labeling_orders(), block=st.sampled_from([1, 2, features.FOLD_BLOCK]))
+    def test_growing_labeled_sets_match_from_scratch(self, fixture, block):
+        views, make_records, order, sizes = fixture
+        records = make_records()
+        metric = FusedCosineMetric(views)
+        hook = covering_radius_hook(metric)
+        with patch.object(features, "FOLD_BLOCK", block):
+            for k in sizes:
+                labeled, pool = split_by_order(records, order, k)
+                assert abs(hook(labeled, pool) - covering_radius(labeled, pool, metric)) <= 1e-12
+
+    @settings(deadline=None)
+    @given(fixture=labeling_orders(), data=st.data())
+    def test_shrunk_labeled_set_matches_from_scratch(self, fixture, data):
+        views, make_records, order, sizes = fixture
+        records = make_records()
+        metric = FusedCosineMetric(views)
+        hook = covering_radius_hook(metric)
+        assume(len(records) > 1)
+        hook(*split_by_order(records, order, sizes[-1]))
+        dropped = data.draw(st.sampled_from(order[: sizes[-1]]))
+        others = [i for i in order if i != dropped]
+        kept = data.draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
+        labeled = [records[i] for i in kept]
+        pool = [r for i, r in enumerate(records) if i not in kept]
+        assert abs(hook(labeled, pool) - covering_radius(labeled, pool, metric)) <= 1e-12
+
+    @settings(deadline=None)
+    @given(fixture=labeling_orders())
+    def test_second_dataset_with_same_ids_matches_from_scratch(self, fixture):
+        views, make_records, order, sizes = fixture
+        first, second = make_records(), make_records()
+        metric = FusedCosineMetric(views)
+        hook = covering_radius_hook(metric)
+        hook(*split_by_order(first, order, sizes[0]))
+        # Same instance ids and a labeled set that only grew by id, but
+        # other vectors: nothing folded for the first dataset may count.
+        labeled, pool = split_by_order(second, order, sizes[-1])
+        assert abs(hook(labeled, pool) - covering_radius(labeled, pool, metric)) <= 1e-12
+
+    def test_empty_labeled_is_infinite(self):
+        assert covering_radius_hook(euclid1d)([], scalar_records([1.0])) == math.inf
+
+    def test_campaign_embeds_once(self):
+        data = generate_synthetic(small_spec(), seed=6)
+        calls = []
+
+        class CountingMetric(FusedCosineMetric):
+            def embed(self, recs):
+                calls.append(len(recs))
+                return super().embed(recs)
+
+        cfg = CampaignConfig(strategy=StrategyConfig(kind="random", seed=0), round_budgets=(3, 6, 9))
+        curve, _ = run_campaign(cfg, data, covering_radius_hook(CountingMetric(data.views)))
+        assert len(curve.points) == 4
+        assert calls == [len(data.instances)]
+
+
+class TestPcaOncePerCampaign:
+    def pca_config(self, data):
+        return CampaignConfig(
+            strategy=StrategyConfig(kind="coreset", views=data.views, seed=0),
+            round_budgets=(4, 8, 12),
+            pca_var_keep=0.99,
+        )
+
+    def test_campaign_compresses_once(self, monkeypatch):
+        calls = []
+        real = simulation.compress_views
+
+        def counting(records, views, var_keep):
+            calls.append(len(records))
+            return real(records, views, var_keep)
+
+        monkeypatch.setattr(simulation, "compress_views", counting)
+        data = generate_synthetic(small_spec(), seed=5)
+        _, state = run_campaign(self.pca_config(data), data, lambda lab, pool: float(len(lab)))
+        assert len(state.history) == 3
+        assert calls == [len(data.instances)]
+
+    def test_same_requests_as_a_refit_every_round(self):
+        data = generate_synthetic(small_spec(clusters=6), seed=8)
+        cfg = self.pca_config(data)
+        _, state = run_campaign(cfg, data, lambda lab, pool: float(len(lab)))
+
+        # Replay the campaign with run_round, which refits PCA on each call.
+        ref = RoundState(
+            round_index=0,
+            labeled_gt=frozenset(g.gt_id for g in data.ground_truth if g.image_id in state.labeled_images),
+            requested_total=0,
+            labeled_images=state.labeled_images,
+            rng_seed=cfg.strategy.seed,
+        )
+        for _ in cfg.round_budgets:
+            matched = ref.matched_instance_ids()
+            pool = [
+                r for r in data.instances
+                if r.image_id not in ref.labeled_images and r.instance_id not in matched
+            ]
+            ref, _ = run_round(ref, data, cfg, pool)
+        assert [log.events for log in ref.history] == [log.events for log in state.history]
 
 
 class TestGenerateSynthetic:
