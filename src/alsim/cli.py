@@ -59,6 +59,29 @@ def cmd_ingest(args) -> int:
 # -------------------------------------------------------------- simulate
 
 
+class _UsageError(Exception):
+    pass
+
+
+def _object(obj: dict, key: str) -> dict:
+    """``obj[key]``, default ``{}``; anything but a JSON object is refused."""
+    value = obj.get(key, {})
+    if not isinstance(value, dict):
+        raise _UsageError(f"{key} must be a JSON object, got {value!r}")
+    return value
+
+
+def _number(obj: dict, key: str, default: float | None) -> float | None:
+    """``obj[key]`` as a float, ``default`` when absent or null; a string,
+    list, object or boolean is refused with a message naming the key."""
+    value = obj.get(key)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _UsageError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _resolve_strategy(cfg: dict, dataset: Dataset, seed: int) -> StrategyConfig:
     kind = cfg.get("kind")
     if kind not in STRATEGY_KINDS:
@@ -66,23 +89,21 @@ def _resolve_strategy(cfg: dict, dataset: Dataset, seed: int) -> StrategyConfig:
             f"unknown strategy {kind!r}; valid strategies: {', '.join(STRATEGY_KINDS)}"
         )
     view_names = cfg.get("views")
+    if not isinstance(view_names, (list, type(None))):
+        raise _UsageError(f"views must be a list of view names, got {view_names!r}")
     if view_names is None and kind in CORESET_KINDS:
         view_names = [v.name for v in dataset.views]
     views = tuple(dataset.view(name) for name in (view_names or []))
-    filters = cfg.get("far_depth_filters", {})
+    filters = _object(cfg, "far_depth_filters")
     return StrategyConfig(
         kind=kind,
         views=views,
         seed=seed,
         far_depth_filters=DepthFilters(
-            min_px_height=float(filters.get("min_px_height", 25.0)),
-            max_depth=float(filters.get("max_depth", 50.0)),
+            min_px_height=_number(filters, "min_px_height", 25.0),
+            max_depth=_number(filters, "max_depth", 50.0),
         ),
     )
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _curve_lines(curve: Curve, provenance: str) -> str:
@@ -101,15 +122,17 @@ def cmd_simulate(args) -> int:
         return 2
 
     try:
+        if not isinstance(cfg_obj, dict):
+            raise _UsageError("config must be a JSON object")
         seeds = [args.seed] if args.seed is not None else [int(s) for s in cfg_obj.get("seeds", [0])]
         if not seeds:
             raise _UsageError("config must list at least one seed")
         dataset_path = Path(cfg_obj["dataset"])
         if not dataset_path.is_absolute():
             dataset_path = config_path.parent / dataset_path
-        campaign = cfg_obj.get("campaign", {})
+        campaign = _object(cfg_obj, "campaign")
         budgets = tuple(int(b) for b in campaign["round_budgets"])
-        initial_fraction = float(campaign.get("initial_fraction", 0.1))
+        initial_fraction = _number(campaign, "initial_fraction", 0.1)
         if initial_fraction == 0.0:
             raise _UsageError("initial_fraction must be > 0: the covering-radius curve needs a labeled set")
     except (_UsageError, KeyError, TypeError, ValueError) as exc:
@@ -130,16 +153,16 @@ def cmd_simulate(args) -> int:
     curves = []
     for seed in seeds:
         try:
-            strategy = _resolve_strategy(cfg_obj.get("strategy", {}), dataset, seed)
+            strategy = _resolve_strategy(_object(cfg_obj, "strategy"), dataset, seed)
             ccfg = CampaignConfig(
                 strategy=strategy,
                 round_budgets=budgets,
-                h_scale=float(campaign.get("H", 2.0)),
+                h_scale=_number(campaign, "H", 2.0),
                 initial_fraction=initial_fraction,
-                alpha=float(campaign.get("alpha", 3.0)),
-                delta=float(campaign.get("delta", 0.2)),
-                min_px_height=float(campaign.get("min_px_height", 25.0)),
-                pca_var_keep=campaign.get("pca_var_keep"),
+                alpha=_number(campaign, "alpha", 3.0),
+                delta=_number(campaign, "delta", 0.2),
+                min_px_height=_number(campaign, "min_px_height", 25.0),
+                pca_var_keep=_number(campaign, "pca_var_keep", None),
             )
         except (_UsageError, ValueError, KeyError) as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -231,7 +254,7 @@ def cmd_naurc(args) -> int:
             failed.append(method)
 
     scored.sort(key=lambda mv: (-mv[1], mv[0]))
-    lines = [f"# budget={args.budget!r} mode={args.mode}", "method,budget,naurc"]
+    lines = [f"# budget={args.budget!r}", "method,budget,naurc"]
     for method, value in scored:
         lines.append(f"{method},{args.budget!r},{value!r}")
     for method in failed:
@@ -265,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_naurc = sub.add_parser("naurc", help="score curves at a budget")
     p_naurc.add_argument("--curves", nargs="+", required=True, help="curve CSV files (x,y)")
     p_naurc.add_argument("--budget", type=float, required=True)
-    p_naurc.add_argument("--mode", choices=("instance", "image"), default="instance",
-                         help="accounting mode the curves' x axis uses")
     p_naurc.add_argument("--out", default=None, help="write the table here instead of stdout")
     p_naurc.set_defaults(func=cmd_naurc)
     return parser

@@ -110,14 +110,6 @@ class RoundState:
     rng_seed: int
     history: tuple[RoundLog, ...] = ()
 
-    def matched_instance_ids(self) -> set[int]:
-        return {
-            ev.instance_id
-            for log in self.history
-            for ev in log.events
-            if ev.outcome == "matched"
-        }
-
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -252,23 +244,17 @@ def _round_seed(base: int, round_index: int, salt: int) -> int:
     return int(np.random.SeedSequence([base, round_index, salt]).generate_state(1)[0])
 
 
-def _labeled_records(state: RoundState, data: Dataset) -> list[InstanceRecord]:
-    matched = state.matched_instance_ids()
-    return [
-        r
-        for r in data.instances
-        if r.image_id in state.labeled_images or r.instance_id in matched
-    ]
-
-
-def _compress(
-    records: Sequence[InstanceRecord], views: Sequence[ViewSpec], var_keep: float
-) -> tuple[list[InstanceRecord], tuple[ViewSpec, ...]]:
-    """PCA-compress ``views`` over ``records``; return the compressed copies
-    and the views carrying their compressed dims, which ``embed`` needs."""
-    compressed = compress_views(records, views, var_keep)
-    # Each view keeps as many components as its variance cutoff needs.
-    return compressed, tuple(replace(v, dim=compressed[0].features[v.name].shape[0]) for v in views)
+def _split(
+    state: RoundState, records: Sequence[InstanceRecord]
+) -> tuple[list[InstanceRecord], list[InstanceRecord]]:
+    """(labeled, pool) of ``records``, each in ``records``' order. A record
+    is labeled when its image was seeded or a request for it matched."""
+    matched = {ev.instance_id for log in state.history for ev in log.events if ev.outcome == "matched"}
+    labeled: list[InstanceRecord] = []
+    pool: list[InstanceRecord] = []
+    for r in records:
+        (labeled if r.image_id in state.labeled_images or r.instance_id in matched else pool).append(r)
+    return labeled, pool
 
 
 def _prior_requests_by_image(state: RoundState, data: Dataset) -> dict[str, list]:
@@ -291,18 +277,23 @@ def run_round(
 ) -> tuple[RoundState, RoundLog]:
     """Run one selection round up to its cumulative budget target.
 
-    The strategy ranks the pool; requests are issued in rank order. A
-    request within 95% of the labeling radius of an earlier same-class
-    request in the same image is suppressed without charge. Every other
-    request is charged, matched or not; matched ground truth moves to the
-    labeled set. The round stops once the cumulative requested total
-    reaches this round's budget target or the ranking is exhausted.
+    The strategy ranks ``pool`` as given; greedy kinds measure distance to
+    the labeled records of ``data``. No PCA is fit here: ``run_campaign``
+    fits it once per campaign and passes the compressed copies. Requests
+    are issued in rank order. A request within 95% of the labeling radius
+    of an earlier same-class request in the same image is suppressed
+    without charge. Every other request is charged, matched or not;
+    matched ground truth moves to the labeled set. The round stops once
+    the cumulative requested total reaches this round's budget target or
+    the ranking is exhausted.
 
     Raises:
-        ValueError: if the budget target lies below the current total, or
-            a requested instance lacks the predicted depth the oracle
-            window needs.
+        ValueError: if ``cfg.pca_var_keep`` is set, if the budget target
+            lies below the current total, or if a requested instance
+            lacks the predicted depth the oracle window needs.
     """
+    if cfg.pca_var_keep is not None:
+        raise ValueError(f"pca_var_keep must be None: run_round fits no PCA, got {cfg.pca_var_keep}")
     if state.round_index >= len(cfg.round_budgets):
         raise ValueError(f"no budget configured for round {state.round_index}")
     target = cfg.round_budgets[state.round_index]
@@ -311,31 +302,24 @@ def run_round(
             f"budget target {target} below already requested {state.requested_total}"
         )
 
-    labeled_records = _labeled_records(state, data)
-    metric = None
-    ranked_pool: Sequence[InstanceRecord] = pool
-    ranked_labeled: Sequence[InstanceRecord] = labeled_records
+    labeled = metric = None
     if cfg.strategy.kind in CORESET_KINDS:
-        views = cfg.strategy.views
-        if cfg.pca_var_keep is not None:
-            combined, views = _compress(list(labeled_records) + list(pool), views, cfg.pca_var_keep)
-            ranked_labeled = combined[: len(labeled_records)]
-            ranked_pool = combined[len(labeled_records) :]
-        metric = FusedCosineMetric(views)
+        labeled = _split(state, data.instances)[0]
+        metric = FusedCosineMetric(cfg.strategy.views)
 
     priors = _prior_requests_by_image(state, data)
-    gts_by_image: dict[str, list[GroundTruthObject]] = {}
-    for g in data.ground_truth:
-        gts_by_image.setdefault(g.image_id, []).append(g)
-
     labeled_gt = set(state.labeled_gt)
+    # Per image, the ground truth not yet labeled; a match removes its object.
+    open_gts: dict[str, list[GroundTruthObject]] = {}
+    for g in data.ground_truth:
+        if g.gt_id not in labeled_gt:
+            open_gts.setdefault(g.image_id, []).append(g)
+
     events: list[RequestEvent] = []
     charged = matched = suppressed = 0
     round_seed = _round_seed(state.rng_seed, state.round_index, 1)
 
-    ranking = rank_pool(
-        ranked_pool, cfg.strategy, labeled=ranked_labeled, metric=metric, seed=round_seed
-    )
+    ranking = rank_pool(pool, cfg.strategy, labeled=labeled, metric=metric, seed=round_seed)
     for record, _score in ranking:
         if state.requested_total + charged >= target:
             break
@@ -351,9 +335,7 @@ def run_round(
             )
             continue
 
-        candidates = [
-            g for g in gts_by_image.get(record.image_id, []) if g.gt_id not in labeled_gt
-        ]
+        candidates = open_gts.get(record.image_id, [])
         result = match_request(
             record.center,
             record.pred_depth,
@@ -368,16 +350,11 @@ def run_round(
         if result.matched:
             matched += 1
             labeled_gt.add(result.gt_id)
-            events.append(
-                RequestEvent(
-                    state.round_index, record.instance_id, record.image_id,
-                    "matched", gt_id=result.gt_id, charged=True,
-                )
-            )
-        else:
-            events.append(
-                RequestEvent(state.round_index, record.instance_id, record.image_id, "null", charged=True)
-            )
+            open_gts[record.image_id] = [g for g in candidates if g.gt_id != result.gt_id]
+        outcome = "matched" if result.matched else "null"
+        events.append(
+            RequestEvent(state.round_index, record.instance_id, record.image_id, outcome, result.gt_id, True)
+        )
 
     total_gt = len(data.ground_truth)
     t = len(labeled_gt) / total_gt if total_gt else 0.0
@@ -429,10 +406,12 @@ def run_campaign(
     fused-metric covering radius rather than a detector score. The hook
     always sees the dataset's own records, in dataset order.
 
-    With ``pca_var_keep`` set for a greedy kind, PCA is fit once per
+    ``run_campaign`` is the only place PCA is fit: with ``pca_var_keep``
+    set for a greedy kind, it compresses the strategy's views once per
     campaign over every instance of ``data`` (labeled + pool is always the
-    whole export), and every round ranks on that compressed copy; calling
-    ``run_round`` directly instead refits on each call.
+    whole export), and every round ranks on that compressed copy.
+    ``run_round`` ranks what it is given, so each round gets a config with
+    ``pca_var_keep=None``.
     """
     validate_strategy_setup(cfg.strategy, list(data.instances))
     missing_depth = [r.instance_id for r in data.instances if r.pred_depth is None]
@@ -457,32 +436,29 @@ def run_campaign(
         history=(),
     )
 
-    def split(records):
-        labeled_ids = {r.instance_id for r in _labeled_records(state, data)}
-        return (
-            [r for r in records if r.instance_id in labeled_ids],
-            [r for r in records if r.instance_id not in labeled_ids],
-        )
-
-    labeled, pool = split(data.instances)
+    labeled, pool = _split(state, data.instances)
     points = [CurvePoint(0.0, float(performance_hook(labeled, pool)))]
 
-    # The rounds rank on ``ranked``: ``data`` itself, or its records with
-    # the strategy's views PCA-compressed once, in the same order.
-    ranked, round_cfg = data, cfg
+    # The rounds rank ``ranked``: ``data`` itself, or its records with the
+    # strategy's views PCA-compressed once, in the same order, so one split
+    # of ``data`` serves the hook and the rounds.
+    ranked, round_cfg = data, replace(cfg, pca_var_keep=None)
     if pool and cfg.round_budgets and cfg.pca_var_keep is not None and cfg.strategy.kind in CORESET_KINDS:
-        compressed, views = _compress(data.instances, cfg.strategy.views, cfg.pca_var_keep)
+        compressed = compress_views(data.instances, cfg.strategy.views, cfg.pca_var_keep)
+        # Each view keeps as many components as its variance cutoff needs,
+        # and ``embed`` reads the dims from the views.
+        views = tuple(replace(v, dim=compressed[0].features[v.name].shape[0]) for v in cfg.strategy.views)
         ranked = replace(data, instances=tuple(compressed))
-        round_cfg = replace(cfg, strategy=replace(cfg.strategy, views=views), pca_var_keep=None)
+        round_cfg = replace(round_cfg, strategy=replace(cfg.strategy, views=views))
+    as_ranked = dict(zip(data.instances, ranked.instances))
 
     for _ in cfg.round_budgets:
         if not pool:
             break
-        round_pool = pool if ranked is data else split(ranked.instances)[1]
-        state, log = run_round(state, ranked, round_cfg, round_pool)
+        state, log = run_round(state, ranked, round_cfg, [as_ranked[r] for r in pool])
         if log.charged == 0:
             break
-        labeled, pool = split(data.instances)
+        labeled, pool = _split(state, data.instances)
         points.append(CurvePoint(float(state.requested_total), float(performance_hook(labeled, pool))))
 
     return Curve(tuple(points)), state

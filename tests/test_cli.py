@@ -264,6 +264,46 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("campaign", "pca_var_keep"), "0.9"),
+            (("campaign", "H"), [1]),
+            (("campaign", "alpha"), True),
+            (("campaign", "initial_fraction"), "0.25"),
+            (("campaign",), [4, 8]),
+            (("strategy",), "random"),
+            (("strategy", "far_depth_filters"), [25]),
+            (("strategy", "far_depth_filters", "max_depth"), {"m": 50}),
+            (("strategy", "views"), 5),
+        ],
+        ids=lambda v: ".".join(v) if isinstance(v, tuple) else json.dumps(v),
+    )
+    def test_wrong_json_type_exit_2(self, sim_setup, capsys, path, value):
+        config, config_path, tmp_path = sim_setup
+        *parents, key = path
+        target = config
+        for name in parents:
+            target = target.setdefault(name, {})
+        target[key] = value
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err
+
+    def test_null_number_takes_its_default(self, sim_setup):
+        config, config_path, tmp_path = sim_setup
+        config["campaign"].update(H=None, alpha=None, pca_var_keep=None)
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o"), "--seed", "0"]) == 0
+
+    def test_config_not_an_object_exit_2(self, sim_setup, capsys):
+        _, config_path, tmp_path = sim_setup
+        config_path.write_text("[]", encoding="utf-8")
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: config must be a JSON object\n"
+
+    @pytest.mark.parametrize(
         "kind",
         ["random", "confidence", "ens_depth_var", "close_depth", "far_depth", "coreset", "coreset_box3d", "ideal"],
     )

@@ -2,7 +2,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alsim.features import FusedCosineMetric, fused_distance
@@ -375,6 +375,43 @@ class TestRankPoolProperties:
         cfg = StrategyConfig(kind="coreset", views=(ViewSpec("v", 1, 1.0),))
         ranking = rank_pool(pool, cfg, labeled=labeled, metric=euclid1d)
         assert [r.instance_id for r, _ in islice(ranking, k)] == greedy_oracle(pool, labeled, euclid1d, k)
+
+
+@st.composite
+def fused_fixtures(draw):
+    """1-3 views (weights 0 included) and pool and labeled records with
+    Gaussian vectors from a drawn seed."""
+    views = tuple(
+        ViewSpec(f"v{i}", draw(st.integers(1, 3)), draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])))
+        for i in range(draw(st.integers(1, 3)))
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_pool, n_labeled = draw(st.integers(1, 10)), draw(st.integers(1, 3))
+    ids = draw(st.permutations(range(n_pool + n_labeled)))
+    records = [make_record(i, features={v.name: rng.normal(size=v.dim) for v in views}) for i in ids]
+    return views, records[:n_pool], records[n_pool:]
+
+
+class TestFusedGreedyOrder:
+    @settings(deadline=None)
+    @given(fixture=fused_fixtures())
+    def test_full_order_matches_scalar_oracle(self, fixture):
+        views, pool, labeled = fixture
+
+        def dist(a, b):
+            return fused_distance(a, b, views)
+
+        expected = greedy_oracle(pool, labeled, dist, len(pool))
+        # Tie-free: at every step, no two candidates' min distances to the
+        # reference set lie within 1e-9 of each other.
+        by_id = {r.instance_id: r for r in pool}
+        for step in range(len(pool)):
+            refs = list(labeled) + [by_id[i] for i in expected[:step]]
+            mins = sorted(min(dist(by_id[i], z) for z in refs) for i in expected[step:])
+            assume(all(b - a > 1e-9 for a, b in zip(mins, mins[1:])))
+        cfg = StrategyConfig(kind="coreset", views=views)
+        ranking = rank_pool(pool, cfg, labeled=labeled, metric=FusedCosineMetric(views))
+        assert [r.instance_id for r, _ in ranking] == expected
 
 
 class TestEmbeddedGreedy:

@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import replace
 from decimal import Decimal, getcontext
 
 from unittest.mock import patch
@@ -9,14 +11,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alsim import features, simulation
-from alsim.features import FusedCosineMetric
+from alsim.features import FusedCosineMetric, compress_views
 from alsim.geometry import match_request
 from alsim.records import Box2D, CameraModel, ViewSpec
-from alsim.selection import CORESET_KINDS, StrategyConfig, ensemble_depth_variance
+from alsim.selection import CORESET_KINDS, STRATEGY_KINDS, StrategyConfig, ensemble_depth_variance
 from alsim.simulation import (
     CampaignConfig,
     RoundState,
     SyntheticSpec,
+    _split,
     bagging_fraction,
     build_class_mask,
     covering_radius,
@@ -282,6 +285,30 @@ class TestRunRound:
         assert all(0.8 <= w <= 1.2 for w in log.loss_weights.values())
         assert 1 <= log.bagged_label_count <= 3
 
+    def test_open_ground_truth_never_offers_a_labeled_object(self):
+        # Two requests in one image, both within the window of the same
+        # closest object: the second must only see what is still open.
+        instances = [
+            make_record(0, center=(50.0, 50.0), pred_depth=10.0, class_id=0, size=(30, 40)),
+            make_record(1, center=(53.0, 50.0), pred_depth=10.0, class_id=1, size=(30, 40)),
+        ]
+        gts = [
+            make_gt(100, center=(50.0, 50.0), pixel_height=60.0),
+            make_gt(101, center=(57.0, 50.0), pixel_height=60.0),
+        ]
+        data = build_dataset(instances, gts)
+        offered = []
+
+        def recording(center, depth, cls, candidates, *args):
+            offered.append([g.gt_id for g in candidates])
+            return match_request(center, depth, cls, candidates, *args)
+
+        with patch.object(simulation, "match_request", recording):
+            state, log = run_round(fresh_state(), data, round_config((2,)), instances)
+        assert offered == [[100, 101], [101]]
+        assert [(ev.outcome, ev.gt_id) for ev in log.events] == [("matched", 100), ("matched", 101)]
+        assert state.labeled_gt == {100, 101}
+
 
 def small_spec(clusters=4, per_cluster=6, **kw):
     return SyntheticSpec(clusters=clusters, per_cluster=per_cluster, **kw)
@@ -474,12 +501,16 @@ class TestPcaOncePerCampaign:
         assert len(state.history) == 3
         assert calls == [len(data.instances)]
 
-    def test_same_requests_as_a_refit_every_round(self):
+    def test_same_requests_as_a_replay_over_one_compression(self):
         data = generate_synthetic(small_spec(clusters=6), seed=8)
         cfg = self.pca_config(data)
         _, state = run_campaign(cfg, data, lambda lab, pool: float(len(lab)))
 
-        # Replay the campaign with run_round, which refits PCA on each call.
+        # Replay the campaign with run_round over one compressed copy.
+        compressed = compress_views(data.instances, data.views, cfg.pca_var_keep)
+        views = tuple(replace(v, dim=compressed[0].features[v.name].shape[0]) for v in data.views)
+        ranked = replace(data, instances=tuple(compressed))
+        round_cfg = replace(cfg, strategy=replace(cfg.strategy, views=views), pca_var_keep=None)
         ref = RoundState(
             round_index=0,
             labeled_gt=frozenset(g.gt_id for g in data.ground_truth if g.image_id in state.labeled_images),
@@ -488,13 +519,68 @@ class TestPcaOncePerCampaign:
             rng_seed=cfg.strategy.seed,
         )
         for _ in cfg.round_budgets:
-            matched = ref.matched_instance_ids()
-            pool = [
-                r for r in data.instances
-                if r.image_id not in ref.labeled_images and r.instance_id not in matched
-            ]
-            ref, _ = run_round(ref, data, cfg, pool)
+            ref, _ = run_round(ref, ranked, round_cfg, _split(ref, ranked.instances)[1])
         assert [log.events for log in ref.history] == [log.events for log in state.history]
+
+    def test_run_round_refuses_pca_var_keep(self):
+        data = generate_synthetic(small_spec(), seed=5)
+        with pytest.raises(ValueError, match="pca_var_keep"):
+            run_round(fresh_state(), data, self.pca_config(data), list(data.instances))
+
+    def test_non_greedy_campaign_ignores_pca_var_keep(self, monkeypatch):
+        monkeypatch.setattr(simulation, "compress_views", None)
+        data = generate_synthetic(small_spec(clusters=6), seed=8)
+        cfg = CampaignConfig(strategy=StrategyConfig(kind="random", seed=3), round_budgets=(4, 8, 12))
+        _, with_pca = run_campaign(replace(cfg, pca_var_keep=0.9), data, lambda lab, pool: float(len(lab)))
+        _, without = run_campaign(cfg, data, lambda lab, pool: float(len(lab)))
+        assert len(without.history) == 3
+        assert [log.events for log in with_pca.history] == [log.events for log in without.history]
+
+
+@st.composite
+def oracle_rounds(draw):
+    """A small synthetic dataset, crowded and with some ground truth
+    dropped so that suppressed and null requests come up, seeded images,
+    a non-greedy kind and cumulative round budgets."""
+    spec = SyntheticSpec(
+        clusters=draw(st.integers(1, 4)),
+        per_cluster=draw(st.integers(1, 8)),
+        image_size=draw(st.sampled_from([(200, 100), (1242, 375)])),
+        n_classes=draw(st.sampled_from([1, 8])),
+    )
+    data = generate_synthetic(spec, seed=draw(st.integers(0, 2**16)))
+    kept = draw(st.lists(st.booleans(), min_size=len(data.ground_truth), max_size=len(data.ground_truth)))
+    data = replace(data, ground_truth=tuple(g for g, keep in zip(data.ground_truth, kept) if keep))
+    seeded = frozenset(draw(st.sets(st.sampled_from(sorted(data.images)))))
+    budgets = tuple(itertools.accumulate(draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))))
+    kind = draw(st.sampled_from([k for k in STRATEGY_KINDS if k not in CORESET_KINDS]))
+    return data, seeded, round_config(budgets, kind=kind)
+
+
+class TestRunRoundProperties:
+    @settings(deadline=None)
+    @given(fixture=oracle_rounds())
+    def test_accounting_invariants(self, fixture):
+        data, seeded, cfg = fixture
+        labeled_gt = frozenset(g.gt_id for g in data.ground_truth if g.image_id in seeded)
+        state = RoundState(0, labeled_gt, 0, seeded, cfg.strategy.seed)
+        charged_ids, matched_ids = [], set()
+        for target in cfg.round_budgets:
+            new, log = run_round(state, data, cfg, _split(state, data.instances)[1])
+            # A matched instance is labeled, so it leaves the pool for good.
+            assert not {ev.instance_id for ev in log.events} & matched_ids
+            matched_ids |= {ev.instance_id for ev in log.events if ev.outcome == "matched"}
+            outcomes = [ev.outcome for ev in log.events]
+            assert log.charged == log.matched + outcomes.count("null")
+            assert (log.matched, log.suppressed) == (outcomes.count("matched"), outcomes.count("suppressed"))
+            assert all(ev.charged == (ev.outcome != "suppressed") for ev in log.events)
+            assert new.requested_total == state.requested_total + log.charged <= target
+            matched_gt = {ev.gt_id for ev in log.events if ev.outcome == "matched"}
+            assert len(matched_gt) == log.matched and not matched_gt & state.labeled_gt
+            assert new.labeled_gt == state.labeled_gt | matched_gt
+            charged_ids += [ev.instance_id for ev in log.events if ev.charged]
+            state = new
+        assert len(charged_ids) == len(set(charged_ids))
 
 
 class TestGenerateSynthetic:
