@@ -13,8 +13,6 @@ from .dataio import DatasetError, load_dataset, write_dataset
 from .geometry import (
     MatchResult,
     Radius2D,
-    associate_ensemble,
-    iou_2d,
     labeling_radius,
     match_request,
     suppress_duplicate,
@@ -36,15 +34,12 @@ from .selection import (
 )
 from .simulation import (
     CampaignConfig,
-    MaskGrid,
     RoundLog,
     RoundState,
     SyntheticSpec,
     bagging_fraction,
-    build_class_mask,
     covering_radius,
     generate_synthetic,
-    masked_pointwise_loss,
     run_campaign,
     run_round,
     sample_bagged_labels,

@@ -17,7 +17,7 @@ from .features import FusedCosineMetric
 from .metrics import Curve, naurc
 from .records import Dataset, validate_dataset
 from .selection import CORESET_KINDS, STRATEGY_KINDS, DepthFilters, StrategyConfig
-from .simulation import CampaignConfig, covering_radius_hook, run_campaign
+from .simulation import CampaignConfig, _whole_numbers, covering_radius_hook, run_campaign
 
 __all__ = ["main"]
 
@@ -124,14 +124,14 @@ def cmd_simulate(args) -> int:
     try:
         if not isinstance(cfg_obj, dict):
             raise _UsageError("config must be a JSON object")
-        seeds = [args.seed] if args.seed is not None else [int(s) for s in cfg_obj.get("seeds", [0])]
+        seeds = (args.seed,) if args.seed is not None else _whole_numbers("seeds", cfg_obj.get("seeds", [0]))
         if not seeds:
             raise _UsageError("config must list at least one seed")
         dataset_path = Path(cfg_obj["dataset"])
         if not dataset_path.is_absolute():
             dataset_path = config_path.parent / dataset_path
         campaign = _object(cfg_obj, "campaign")
-        budgets = tuple(int(b) for b in campaign["round_budgets"])
+        budgets = _whole_numbers("round_budgets", campaign["round_budgets"])
         initial_fraction = _number(campaign, "initial_fraction", 0.1)
         if initial_fraction == 0.0:
             raise _UsageError("initial_fraction must be > 0: the covering-radius curve needs a labeled set")

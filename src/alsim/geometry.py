@@ -1,4 +1,4 @@
-"""2D geometry for the labeling oracle and ensemble association."""
+"""2D geometry for the labeling oracle: search windows, matching and duplicate suppression."""
 
 from __future__ import annotations
 
@@ -6,16 +6,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .records import Box2D, CameraModel, GroundTruthObject, InstanceRecord
+from .records import CameraModel, GroundTruthObject
 
 __all__ = [
     "Radius2D",
     "MatchResult",
-    "iou_2d",
     "labeling_radius",
     "match_request",
     "suppress_duplicate",
-    "associate_ensemble",
 ]
 
 
@@ -38,22 +36,6 @@ class MatchResult:
     @property
     def matched(self) -> bool:
         return self.gt_id is not None
-
-
-def iou_2d(a: Box2D, b: Box2D) -> float:
-    """Intersection-over-union of two axis-aligned boxes.
-
-    Returns 0 when the union area is 0 (both boxes degenerate).
-    """
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
 
 
 def labeling_radius(cam: CameraModel, pred_depth: float, h_scale: float) -> Radius2D:
@@ -142,46 +124,3 @@ def suppress_duplicate(
         if abs(req_center[0] - px) <= rx and abs(req_center[1] - py) <= ry:
             return True
     return False
-
-
-def associate_ensemble(
-    main: Sequence[InstanceRecord],
-    aux: Sequence[InstanceRecord],
-    iou_threshold: float,
-) -> dict[int, int]:
-    """One-to-one match of auxiliary-model predictions to main predictions.
-
-    Main predictions are visited in descending confidence (ties by lowest
-    instance_id). Each takes the not-yet-assigned aux prediction with IoU
-    at or above the threshold, preferring the highest aux confidence and
-    then the lowest aux instance_id. Every aux prediction is assigned at
-    most once.
-
-    Args:
-        main: predictions of the main model, one image.
-        aux: predictions of one auxiliary model, same image.
-        iou_threshold: minimum 2D IoU for a valid association.
-
-    Returns:
-        Mapping of main instance_id to matched aux instance_id.
-    """
-    def _conf(r: InstanceRecord) -> float:
-        if r.confidence is None:
-            raise ValueError(f"instance {r.instance_id}: confidence required for ensemble association")
-        return r.confidence
-
-    assigned: set[int] = set()
-    result: dict[int, int] = {}
-    for m in sorted(main, key=lambda r: (-_conf(r), r.instance_id)):
-        best: InstanceRecord | None = None
-        for a in aux:
-            if a.instance_id in assigned:
-                continue
-            if iou_2d(m.box2d, a.box2d) < iou_threshold:
-                continue
-            if best is None or (_conf(a), -a.instance_id) > (_conf(best), -best.instance_id):
-                best = a
-        if best is not None:
-            assigned.add(best.instance_id)
-            result[m.instance_id] = best.instance_id
-    return result

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -36,26 +36,6 @@ class Box2D:
     w: float
     h: float
 
-    @property
-    def x_min(self) -> float:
-        return self.cx - self.w / 2.0
-
-    @property
-    def x_max(self) -> float:
-        return self.cx + self.w / 2.0
-
-    @property
-    def y_min(self) -> float:
-        return self.cy - self.h / 2.0
-
-    @property
-    def y_max(self) -> float:
-        return self.cy + self.h / 2.0
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
 
 @dataclass(frozen=True)
 class ViewSpec:
@@ -84,9 +64,6 @@ class InstanceRecord:
     pred_depth: float | None = None
     confidence: float | None = None
     aux_depths: tuple[float, ...] | None = None
-
-    def with_aux_depths(self, depths: Iterable[float]) -> "InstanceRecord":
-        return replace(self, aux_depths=tuple(float(d) for d in depths))
 
     @property
     def center(self) -> tuple[float, float]:

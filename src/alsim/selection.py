@@ -34,7 +34,6 @@ labeled set once, so each pick costs one matrix-vector product.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterator, Mapping, Sequence
@@ -42,7 +41,6 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .features import fold_min_distances
-from .geometry import associate_ensemble
 from .records import InstanceRecord, ViewSpec
 
 __all__ = [
@@ -56,7 +54,6 @@ __all__ = [
     "image_level_select",
     "rank_pool",
     "validate_strategy_setup",
-    "with_ensemble_depths",
 ]
 
 STRATEGY_KINDS = (
@@ -266,40 +263,3 @@ def rank_pool(
     ids = np.array([r.instance_id for r in records], dtype=np.int64)
     for i in np.lexsort((ids, -scores)).tolist():
         yield records[i], float(scores[i])
-
-
-def with_ensemble_depths(
-    main: Sequence[InstanceRecord],
-    aux_models: Sequence[Sequence[InstanceRecord]],
-    iou_threshold: float = 0.5,
-) -> list[InstanceRecord]:
-    """Attach associated auxiliary depth predictions to main predictions.
-
-    Associates each auxiliary model's predictions image by image via
-    ``associate_ensemble`` and returns main records whose ``aux_depths``
-    carry the matched depths. Records with no match are returned as is.
-    """
-    by_image_main: dict[str, list[InstanceRecord]] = defaultdict(list)
-    for r in main:
-        by_image_main[r.image_id].append(r)
-
-    depth_lists: dict[int, list[float]] = {r.instance_id: [] for r in main}
-    for aux in aux_models:
-        by_image_aux: dict[str, list[InstanceRecord]] = defaultdict(list)
-        for a in aux:
-            by_image_aux[a.image_id].append(a)
-        for image_id, mains in by_image_main.items():
-            candidates = by_image_aux.get(image_id, [])
-            if not candidates:
-                continue
-            assoc = associate_ensemble(mains, candidates, iou_threshold)
-            aux_by_id = {a.instance_id: a for a in candidates}
-            for main_id, aux_id in assoc.items():
-                d = aux_by_id[aux_id].pred_depth
-                if d is not None:
-                    depth_lists[main_id].append(float(d))
-
-    return [
-        r.with_aux_depths(depth_lists[r.instance_id]) if depth_lists[r.instance_id] else r
-        for r in main
-    ]

@@ -9,14 +9,14 @@ strategy's reference set for later rounds.
 
 The module also carries the training-side schedules of the simulated
 detector ensemble (time-decayed label bagging and loss-weight
-perturbation) and the classification-mask construction used when
-training on sparsely labeled images.
+perturbation); each round log records their values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -33,12 +33,9 @@ __all__ = [
     "RoundLog",
     "RoundState",
     "CampaignConfig",
-    "MaskGrid",
     "bagging_fraction",
     "sample_loss_weights",
     "sample_bagged_labels",
-    "build_class_mask",
-    "masked_pointwise_loss",
     "run_round",
     "run_campaign",
     "covering_radius",
@@ -111,6 +108,16 @@ class RoundState:
     history: tuple[RoundLog, ...] = ()
 
 
+def _whole_numbers(name: str, values) -> tuple[int, ...]:
+    """``values`` as ints; ``400.0`` passes, while a string, boolean,
+    fraction or non-finite value raises a ValueError naming ``name``."""
+    items = tuple(values)
+    for v in items:
+        if isinstance(v, bool) or not (isinstance(v, Integral) or isinstance(v, float) and v.is_integer()):
+            raise ValueError(f"{name} must be whole numbers, got {values!r}")
+    return tuple(int(v) for v in items)
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     strategy: StrategyConfig
@@ -123,7 +130,7 @@ class CampaignConfig:
     pca_var_keep: float | None = None
 
     def __post_init__(self):
-        budgets = tuple(int(b) for b in self.round_budgets)
+        budgets = _whole_numbers("round_budgets", self.round_budgets)
         object.__setattr__(self, "round_budgets", budgets)
         if any(b <= 0 for b in budgets):
             raise ValueError(f"round budgets must be positive, got {budgets}")
@@ -141,15 +148,6 @@ class CampaignConfig:
             raise ValueError(f"h_scale must be > 0, got {self.h_scale}")
         if self.pca_var_keep is not None and not 0.0 < self.pca_var_keep <= 1.0:
             raise ValueError(f"pca_var_keep must be in (0, 1], got {self.pca_var_keep}")
-
-
-@dataclass(frozen=True)
-class MaskGrid:
-    """Binary per-cell mask for the classification loss."""
-
-    width: int
-    height: int
-    values: np.ndarray
 
 
 def bagging_fraction(t: float, alpha: float) -> float:
@@ -188,56 +186,6 @@ def sample_bagged_labels(labeled_gt: Iterable[int], t: float, alpha: float, seed
     rng = np.random.default_rng(seed)
     chosen = rng.choice(len(ids), size=size, replace=False)
     return {ids[int(i)] for i in chosen}
-
-
-def build_class_mask(
-    width: int,
-    height: int,
-    gt_centers: Sequence[tuple[int, int]],
-    unlabeled_pred_boxes: Sequence[Box2D],
-) -> MaskGrid:
-    """Binary mask over the class heatmap grid.
-
-    A cell is 1 only when it is a labeled ground-truth center AND lies
-    outside every 2D box of a previously predicted, still-unlabeled
-    object; the exclusion wins even on labeled centers. Centers are
-    (x, y) cell coordinates.
-    """
-    values = np.zeros((height, width), dtype=np.uint8)
-    for x, y in gt_centers:
-        if not (0 <= x < width and 0 <= y < height):
-            raise ValueError(f"gt center ({x}, {y}) outside {width}x{height} grid")
-        values[y, x] = 1
-    for box in unlabeled_pred_boxes:
-        x0 = max(0, math.ceil(box.x_min))
-        x1 = min(width - 1, math.floor(box.x_max))
-        y0 = max(0, math.ceil(box.y_min))
-        y1 = min(height - 1, math.floor(box.y_max))
-        if x0 <= x1 and y0 <= y1:
-            values[y0 : y1 + 1, x0 : x1 + 1] = 0
-    return MaskGrid(width=width, height=height, values=values)
-
-
-def masked_pointwise_loss(pred, gt, mask: MaskGrid, loss_fn) -> float:
-    """Sum of a pointwise loss over classes and cells, gated by the mask.
-
-    ``pred`` and ``gt`` are per-class grids of shape (C, H, W) or a
-    single (H, W) grid; ``loss_fn`` maps two equal-shape arrays to an
-    elementwise loss array.
-
-    Raises:
-        ValueError: on any shape mismatch.
-    """
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    if pred.shape != gt.shape:
-        raise ValueError(f"pred/gt shape mismatch: {pred.shape} vs {gt.shape}")
-    if pred.shape[-2:] != mask.values.shape:
-        raise ValueError(f"grid shape {pred.shape[-2:]} does not match mask {mask.values.shape}")
-    cellwise = np.asarray(loss_fn(pred, gt), dtype=np.float64)
-    if cellwise.shape != pred.shape:
-        raise ValueError(f"loss_fn changed the shape: {cellwise.shape} vs {pred.shape}")
-    return float((cellwise * mask.values).sum())
 
 
 def _round_seed(base: int, round_index: int, salt: int) -> int:

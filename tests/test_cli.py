@@ -275,6 +275,11 @@ class TestSimulate:
             (("strategy", "far_depth_filters"), [25]),
             (("strategy", "far_depth_filters", "max_depth"), {"m": 50}),
             (("strategy", "views"), 5),
+            (("seeds",), "12"),
+            (("seeds",), [1.7]),
+            (("seeds",), [True]),
+            (("campaign", "round_budgets"), [4, 8.6]),
+            (("campaign", "round_budgets"), [1.5, 3.9]),
         ],
         ids=lambda v: ".".join(v) if isinstance(v, tuple) else json.dumps(v),
     )
@@ -290,6 +295,17 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert key in err
+
+    def test_integral_float_seeds_and_budgets_run(self, sim_setup):
+        config, config_path, tmp_path = sim_setup
+        config.update(seeds=[1.0])
+        config["campaign"]["round_budgets"] = [4.0, 8.0]
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("seed_*")) == ["seed_1"]
+        state = json.loads((out / "seed_1" / "state.json").read_text(encoding="utf-8"))
+        assert type(state["seed"]) is int and state["rounds"] == 2
 
     def test_null_number_takes_its_default(self, sim_setup):
         config, config_path, tmp_path = sim_setup

@@ -1,61 +1,15 @@
 import math
 
-import numpy as np
 import pytest
 
 from alsim.geometry import (
-    associate_ensemble,
-    iou_2d,
     labeling_radius,
     match_request,
     suppress_duplicate,
 )
-from alsim.records import Box2D, CameraModel
+from alsim.records import CameraModel
 
-from conftest import make_gt, make_record
-
-
-def mc_iou_oracle(a, b, rng, n=200_000):
-    """Monte-Carlo point-sampling estimate of IoU over the joint bounding box."""
-    lo_x, hi_x = min(a.x_min, b.x_min), max(a.x_max, b.x_max)
-    lo_y, hi_y = min(a.y_min, b.y_min), max(a.y_max, b.y_max)
-    xs = rng.uniform(lo_x, hi_x, n)
-    ys = rng.uniform(lo_y, hi_y, n)
-    in_a = (xs >= a.x_min) & (xs <= a.x_max) & (ys >= a.y_min) & (ys <= a.y_max)
-    in_b = (xs >= b.x_min) & (xs <= b.x_max) & (ys >= b.y_min) & (ys <= b.y_max)
-    union = np.count_nonzero(in_a | in_b)
-    if union == 0:
-        return 0.0
-    return np.count_nonzero(in_a & in_b) / union
-
-
-class TestIou:
-    def test_identical_boxes(self):
-        box = Box2D(3.0, 4.0, 2.0, 5.0)
-        assert iou_2d(box, box) == 1.0
-
-    def test_disjoint_boxes(self):
-        assert iou_2d(Box2D(0, 0, 1, 1), Box2D(10, 10, 1, 1)) == 0.0
-
-    def test_half_shifted_unit_squares(self, rng):
-        # inter 0.5, union 1.5, hand area computation
-        a = Box2D(0.0, 0.0, 1.0, 1.0)
-        b = Box2D(0.5, 0.0, 1.0, 1.0)
-        value = iou_2d(a, b)
-        assert value == pytest.approx(1.0 / 3.0, abs=1e-15)
-        assert value == pytest.approx(mc_iou_oracle(a, b, rng), abs=0.01)
-
-    def test_zero_area_union(self):
-        a = Box2D(0.0, 0.0, 0.0, 0.0)
-        assert iou_2d(a, a) == 0.0
-
-    def test_symmetric_and_bounded(self, rng):
-        for _ in range(200):
-            a = Box2D(*rng.uniform(-5, 5, 2), *rng.uniform(0, 4, 2))
-            b = Box2D(*rng.uniform(-5, 5, 2), *rng.uniform(0, 4, 2))
-            v = iou_2d(a, b)
-            assert v == iou_2d(b, a)
-            assert 0.0 <= v <= 1.0
+from conftest import make_gt
 
 
 class TestLabelingRadius:
@@ -168,67 +122,3 @@ class TestSuppressDuplicate:
 
     def test_no_priors(self):
         assert not suppress_duplicate((50.0, 60.0), 10.0, 3, [], self.CAM, 2.0)
-
-
-class TestAssociateEnsemble:
-    def test_perfect_pair(self):
-        main = [make_record(0, center=(50, 50), size=(20, 20))]
-        aux = [make_record(10, center=(50, 50), size=(20, 20))]
-        assert associate_ensemble(main, aux, 0.5) == {0: 10}
-
-    def test_below_threshold_unmatched(self):
-        main = [make_record(0, center=(50, 50), size=(20, 20))]
-        # overlap 10x20 over union 30x20 -> IoU = 1/3 < 0.4
-        aux = [make_record(10, center=(60, 50), size=(20, 20))]
-        assert iou_2d(main[0].box2d, aux[0].box2d) == pytest.approx(1 / 3)
-        assert associate_ensemble(main, aux, 0.4) == {}
-
-    def test_highest_confidence_candidate_wins(self):
-        main = [make_record(0, center=(50, 50), size=(20, 20))]
-        aux = [
-            make_record(10, center=(54, 50), size=(20, 20), confidence=0.3),
-            make_record(11, center=(52, 50), size=(20, 20), confidence=0.9),
-        ]
-        assert associate_ensemble(main, aux, 0.5) == {0: 11}
-
-    def test_confidence_tie_takes_lowest_id(self):
-        main = [make_record(0, center=(50, 50), size=(20, 20))]
-        aux = [
-            make_record(12, center=(50, 50), size=(20, 20), confidence=0.5),
-            make_record(11, center=(50, 50), size=(20, 20), confidence=0.5),
-        ]
-        assert associate_ensemble(main, aux, 0.5) == {0: 11}
-
-    def test_main_priority_by_confidence(self):
-        # both mains overlap the single aux; the more confident main takes it
-        main = [
-            make_record(0, center=(50, 50), size=(20, 20), confidence=0.4),
-            make_record(1, center=(52, 50), size=(20, 20), confidence=0.8),
-        ]
-        aux = [make_record(10, center=(51, 50), size=(20, 20), confidence=0.6)]
-        assert associate_ensemble(main, aux, 0.5) == {1: 10}
-
-    def test_injective_on_aux_ids(self, rng):
-        for _ in range(50):
-            main = [
-                make_record(i, center=tuple(rng.uniform(0, 100, 2)), size=(25, 25),
-                            confidence=float(rng.uniform(0, 1)))
-                for i in range(8)
-            ]
-            aux = [
-                make_record(100 + i, center=tuple(rng.uniform(0, 100, 2)), size=(25, 25),
-                            confidence=float(rng.uniform(0, 1)))
-                for i in range(8)
-            ]
-            assoc = associate_ensemble(main, aux, 0.3)
-            assert len(set(assoc.values())) == len(assoc)
-            for mid, aid in assoc.items():
-                m = next(r for r in main if r.instance_id == mid)
-                a = next(r for r in aux if r.instance_id == aid)
-                assert iou_2d(m.box2d, a.box2d) >= 0.3
-
-    def test_missing_confidence_rejected(self):
-        main = [make_record(0, confidence=None)]
-        aux = [make_record(10)]
-        with pytest.raises(ValueError, match="confidence"):
-            associate_ensemble(main, aux, 0.5)

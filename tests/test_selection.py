@@ -18,7 +18,6 @@ from alsim.selection import (
     iter_coreset_picks,
     rank_pool,
     validate_strategy_setup,
-    with_ensemble_depths,
 )
 
 from conftest import euclid1d, make_record, scalar_records
@@ -434,18 +433,3 @@ class TestEmbeddedGreedy:
         picks = list(iter_coreset_picks(records[:n_pool], records[n_pool:], CountingMetric(views)))
         assert sorted(r.instance_id for r, _ in picks) == list(range(n_pool))
         assert sorted(calls) == sorted([n_pool, n_labeled])
-
-
-class TestWithEnsembleDepths:
-    def test_attaches_matched_depths(self):
-        main = [make_record(0, center=(50, 50), size=(20, 20), pred_depth=10.0)]
-        aux_a = [make_record(10, center=(50, 50), size=(20, 20), pred_depth=13.0)]
-        aux_b = [make_record(20, center=(51, 50), size=(20, 20), pred_depth=8.0)]
-        out = with_ensemble_depths(main, [aux_a, aux_b])
-        assert out[0].aux_depths == (13.0, 8.0)
-
-    def test_unmatched_record_unchanged(self):
-        main = [make_record(0, center=(50, 50), size=(20, 20))]
-        aux = [make_record(10, center=(500, 500), size=(20, 20))]
-        out = with_ensemble_depths(main, [aux])
-        assert out[0].aux_depths is None

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from alsim import features, simulation
 from alsim.features import FusedCosineMetric, compress_views
 from alsim.geometry import match_request
-from alsim.records import Box2D, CameraModel, ViewSpec
+from alsim.records import ViewSpec
 from alsim.selection import CORESET_KINDS, STRATEGY_KINDS, StrategyConfig, ensemble_depth_variance
 from alsim.simulation import (
     CampaignConfig,
@@ -21,11 +21,9 @@ from alsim.simulation import (
     SyntheticSpec,
     _split,
     bagging_fraction,
-    build_class_mask,
     covering_radius,
     covering_radius_hook,
     generate_synthetic,
-    masked_pointwise_loss,
     run_campaign,
     run_round,
     sample_bagged_labels,
@@ -122,66 +120,6 @@ class TestSampleBaggedLabels:
         a = sample_bagged_labels(range(100), 0.4, 3.0, seed=9)
         b = sample_bagged_labels(range(100), 0.4, 3.0, seed=9)
         assert a == b
-
-
-class TestBuildClassMask:
-    def test_no_gt_no_boxes_all_zero(self):
-        mask = build_class_mask(4, 3, [], [])
-        assert mask.values.shape == (3, 4)
-        assert not mask.values.any()
-
-    def test_single_center(self):
-        mask = build_class_mask(5, 5, [(2, 3)], [])
-        assert mask.values.sum() == 1
-        assert mask.values[3, 2] == 1
-
-    def test_center_inside_unlabeled_box_masked_out(self):
-        mask = build_class_mask(10, 10, [(5, 5)], [Box2D(5.0, 5.0, 4.0, 4.0)])
-        assert mask.values.sum() == 0
-
-    def test_center_outside_box_survives(self):
-        mask = build_class_mask(10, 10, [(9, 9)], [Box2D(2.0, 2.0, 3.0, 3.0)])
-        assert mask.values[9, 9] == 1
-
-    def test_values_binary(self):
-        mask = build_class_mask(6, 6, [(1, 1), (4, 4)], [Box2D(4.0, 4.0, 2.0, 2.0)])
-        assert set(np.unique(mask.values)) <= {0, 1}
-
-    def test_center_out_of_grid_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            build_class_mask(4, 4, [(4, 0)], [])
-
-
-class TestMaskedPointwiseLoss:
-    @staticmethod
-    def sq(p, g):
-        return (p - g) ** 2
-
-    def test_all_zero_mask(self):
-        mask = build_class_mask(2, 2, [], [])
-        pred = np.full((3, 2, 2), 0.7)
-        gt = np.zeros((3, 2, 2))
-        assert masked_pointwise_loss(pred, gt, mask, self.sq) == 0.0
-
-    def test_perfect_prediction(self):
-        mask = build_class_mask(2, 2, [(0, 0), (1, 1)], [])
-        pred = np.full((2, 2, 2), 0.4)
-        assert masked_pointwise_loss(pred, pred.copy(), mask, self.sq) == 0.0
-
-    def test_single_cell_hand_value(self):
-        mask = build_class_mask(2, 2, [(1, 0)], [])
-        pred = np.zeros((1, 2, 2))
-        gt = np.zeros((1, 2, 2))
-        pred[0, 0, 1] = 0.6
-        gt[0, 0, 1] = 1.0
-        assert masked_pointwise_loss(pred, gt, mask, self.sq) == pytest.approx(0.16)
-
-    def test_shape_mismatch(self):
-        mask = build_class_mask(2, 2, [], [])
-        with pytest.raises(ValueError):
-            masked_pointwise_loss(np.zeros((2, 2)), np.zeros((3, 3)), mask, self.sq)
-        with pytest.raises(ValueError):
-            masked_pointwise_loss(np.zeros((3, 3)), np.zeros((3, 3)), mask, self.sq)
 
 
 def fresh_state(seed=0):
@@ -322,6 +260,19 @@ class TestRunCampaign:
     def test_greedy_kinds_refuse_zero_initial_fraction(self, kind):
         with pytest.raises(ValueError, match="initial_fraction must be > 0"):
             round_config((3,), kind=kind, views=(ViewSpec("v", 1, 1.0),))
+
+    @pytest.mark.parametrize(
+        "budgets", [(1.5, 3.9), (4, 8.6), (True, 2), ("4", 8), (4, math.inf), (4, math.nan)]
+    )
+    def test_non_integral_budgets_refused(self, budgets):
+        with pytest.raises(ValueError, match="round_budgets"):
+            CampaignConfig(strategy=StrategyConfig(kind="random"), round_budgets=budgets)
+
+    def test_integral_float_and_numpy_budgets_accepted(self):
+        budgets = (400.0, np.int64(800), np.float64(1200.0), 10**400)
+        cfg = CampaignConfig(strategy=StrategyConfig(kind="random"), round_budgets=budgets)
+        assert cfg.round_budgets == (400, 800, 1200, 10**400)
+        assert all(type(b) is int for b in cfg.round_budgets)
 
     def test_zero_rounds_gives_initial_point_only(self):
         data = generate_synthetic(small_spec(), seed=0)
