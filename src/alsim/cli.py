@@ -10,6 +10,7 @@ import hashlib
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .dataio import DatasetError, load_dataset, read_raw_export, write_dataset
@@ -82,7 +83,17 @@ def _number(obj: dict, key: str, default: float | None) -> float | None:
     return float(value)
 
 
-def _resolve_strategy(cfg: dict, dataset: Dataset, seed: int) -> StrategyConfig:
+def _string(obj: dict, key: str, default: str | None = None) -> str:
+    """``obj[key]``, or ``default`` when one is given and the key is
+    absent; anything but a JSON string is refused with a message naming
+    the key."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if not isinstance(value, str):
+        raise _UsageError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _resolve_strategy(cfg: dict, dataset: Dataset) -> StrategyConfig:
     kind = cfg.get("kind")
     if kind not in STRATEGY_KINDS:
         raise _UsageError(
@@ -93,12 +104,15 @@ def _resolve_strategy(cfg: dict, dataset: Dataset, seed: int) -> StrategyConfig:
         raise _UsageError(f"views must be a list of view names, got {view_names!r}")
     if view_names is None and kind in CORESET_KINDS:
         view_names = [v.name for v in dataset.views]
-    views = tuple(dataset.view(name) for name in (view_names or []))
+    try:
+        views = tuple(dataset.view(name) for name in (view_names or []))
+    except KeyError as exc:
+        known = ", ".join(v.name for v in dataset.views)
+        raise _UsageError(f"views: {exc.args[0]}; the dataset has {known}") from None
     filters = _object(cfg, "far_depth_filters")
     return StrategyConfig(
         kind=kind,
         views=views,
-        seed=seed,
         far_depth_filters=DepthFilters(
             min_px_height=_number(filters, "min_px_height", 25.0),
             max_depth=_number(filters, "max_depth", 50.0),
@@ -127,13 +141,21 @@ def cmd_simulate(args) -> int:
         seeds = (args.seed,) if args.seed is not None else _whole_numbers("seeds", cfg_obj.get("seeds", [0]))
         if not seeds:
             raise _UsageError("config must list at least one seed")
-        dataset_path = Path(cfg_obj["dataset"])
+        dataset_path = Path(_string(cfg_obj, "dataset"))
         if not dataset_path.is_absolute():
             dataset_path = config_path.parent / dataset_path
+        output = _string(cfg_obj, "output", "runs")
         campaign = _object(cfg_obj, "campaign")
-        budgets = _whole_numbers("round_budgets", campaign["round_budgets"])
-        initial_fraction = _number(campaign, "initial_fraction", 0.1)
-        if initial_fraction == 0.0:
+        settings = dict(
+            round_budgets=_whole_numbers("round_budgets", campaign["round_budgets"]),
+            h_scale=_number(campaign, "H", 2.0),
+            initial_fraction=_number(campaign, "initial_fraction", 0.1),
+            alpha=_number(campaign, "alpha", 3.0),
+            delta=_number(campaign, "delta", 0.2),
+            min_px_height=_number(campaign, "min_px_height", 25.0),
+            pca_var_keep=_number(campaign, "pca_var_keep", None),
+        )
+        if settings["initial_fraction"] == 0.0:
             raise _UsageError("initial_fraction must be > 0: the covering-radius curve needs a labeled set")
     except (_UsageError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -145,30 +167,24 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    out_dir = Path(args.out) if args.out else Path(cfg_obj.get("output", "runs"))
+    # The strategy's views come from the dataset; every seed runs this
+    # config with its own strategy seed.
+    try:
+        ccfg = CampaignConfig(strategy=_resolve_strategy(_object(cfg_obj, "strategy"), dataset), **settings)
+    except (_UsageError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    out_dir = Path(args.out) if args.out else Path(output)
     out_dir.mkdir(parents=True, exist_ok=True)
     chash = _config_hash(cfg_obj)
     eval_metric = FusedCosineMetric(dataset.views)
 
     curves = []
     for seed in seeds:
+        seeded = replace(ccfg, strategy=replace(ccfg.strategy, seed=seed))
         try:
-            strategy = _resolve_strategy(_object(cfg_obj, "strategy"), dataset, seed)
-            ccfg = CampaignConfig(
-                strategy=strategy,
-                round_budgets=budgets,
-                h_scale=_number(campaign, "H", 2.0),
-                initial_fraction=initial_fraction,
-                alpha=_number(campaign, "alpha", 3.0),
-                delta=_number(campaign, "delta", 0.2),
-                min_px_height=_number(campaign, "min_px_height", 25.0),
-                pca_var_keep=_number(campaign, "pca_var_keep", None),
-            )
-        except (_UsageError, ValueError, KeyError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        try:
-            curve, state = run_campaign(ccfg, dataset, covering_radius_hook(eval_metric))
+            curve, state = run_campaign(seeded, dataset, covering_radius_hook(eval_metric))
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

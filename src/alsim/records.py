@@ -97,9 +97,6 @@ class Dataset:
     ground_truth: tuple[GroundTruthObject, ...]
     images: dict[str, int]
 
-    def gts_of_image(self, image_id: str) -> list[GroundTruthObject]:
-        return [g for g in self.ground_truth if g.image_id == image_id]
-
     def labelable_counts(self, min_px_height: float) -> dict[str, int]:
         """Per-image count of ground-truth objects tall enough to label."""
         counts = {img: 0 for img in self.images}

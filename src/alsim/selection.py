@@ -103,9 +103,11 @@ def iter_coreset_picks(
 
     The yielded score is the instance's minimum distance to the reference
     set at pick time (labeled set plus earlier picks). Ties resolve to the
-    lowest instance_id. The min-distance cache is updated only against the
-    newest pick, so a full traversal costs O(|pool|^2) distance
-    evaluations and a k-pick prefix O(k * |pool|).
+    lowest instance_id. The whole state is the embedded pool ``E`` and
+    ``mins``, each row's minimum distance to the reference set: a pick's
+    entry is set to -inf, so it never wins again, and its row is folded
+    into ``mins`` with ``fold_min_distances``. A full traversal costs
+    O(|pool|^2) distance evaluations and a k-pick prefix O(k * |pool|).
     """
     if not len(labeled):
         raise ValueError("labeled set must be nonempty")
@@ -115,18 +117,13 @@ def iter_coreset_picks(
     ids = np.array([r.instance_id for r in pool], dtype=np.int64)
     E = dist.embed(pool)
     mins = fold_min_distances(dist, E, dist.embed(labeled), np.full(len(pool), np.inf))
-    active = np.ones(len(pool), dtype=bool)
 
     for _ in range(len(pool)):
-        masked = np.where(active, mins, -np.inf)
-        best = masked.max()
-        tie = np.flatnonzero(active & (masked == best))
+        tie = np.flatnonzero(mins == mins.max())
         pick = int(tie[np.argmin(ids[tie])])
         yield pool[pick], float(mins[pick])
-        active[pick] = False
-        if not active.any():
-            return
-        mins = np.minimum(mins, dist.between(E, E[pick : pick + 1])[:, 0])
+        mins[pick] = -np.inf
+        fold_min_distances(dist, E, E[pick : pick + 1], mins)
 
 
 def coreset_select(

@@ -109,12 +109,13 @@ class RoundState:
 
 
 def _whole_numbers(name: str, values) -> tuple[int, ...]:
-    """``values`` as ints; ``400.0`` passes, while a string, boolean,
-    fraction or non-finite value raises a ValueError naming ``name``."""
-    items = tuple(values)
-    for v in items:
-        if isinstance(v, bool) or not (isinstance(v, Integral) or isinstance(v, float) and v.is_integer()):
-            raise ValueError(f"{name} must be whole numbers, got {values!r}")
+    """``values`` as ints; ``400.0`` passes, while a non-list, or a string,
+    boolean, fraction or non-finite item, raises a ValueError naming ``name``."""
+    items = tuple(values) if isinstance(values, Iterable) else None
+    if items is None or any(
+        isinstance(v, bool) or not (isinstance(v, Integral) or isinstance(v, float) and v.is_integer()) for v in items
+    ):
+        raise ValueError(f"{name} must be a list of whole numbers, got {values!r}")
     return tuple(int(v) for v in items)
 
 
@@ -429,52 +430,31 @@ def covering_radius(
 
 
 class _CoveringRadiusHook:
-    """State of ``covering_radius_hook``: the embedded instance set and
-    each instance's minimum distance to the rows labeled so far."""
+    """State of ``covering_radius_hook``: the embedded records ``E``, each
+    row's minimum distance ``mins`` to the folded rows, and the labeled
+    records folded so far. Rows are keyed by the record itself: records
+    are eq=False, so they hash by identity, and the keys keep them alive."""
 
     def __init__(self, metric):
         self.metric = metric
-        # Records are eq=False, so rows are found by object identity; the
-        # list keeps them alive so no id() is reused while it is a key.
-        self.instances: list[InstanceRecord] = []
-        self.row_of: dict[int, int] = {}
-        self.E = np.zeros((0, 0))
-        self.mins = np.zeros(0)
-        self.folded = np.zeros(0, dtype=bool)
-
-    def _labeled_rows(self, labeled, pool) -> np.ndarray | None:
-        """Mask of ``labeled``'s rows when labeled + pool is the embedded
-        instance set and contains every row folded so far, else None."""
-        n = len(self.instances)
-        if len(labeled) + len(pool) != n:
-            return None
-        is_labeled = np.zeros(n, dtype=bool)
-        seen = np.zeros(n, dtype=bool)
-        try:
-            is_labeled[[self.row_of[id(r)] for r in labeled]] = True
-            seen[[self.row_of[id(r)] for r in pool]] = True
-        except KeyError:
-            return None
-        seen |= is_labeled
-        if not seen.all() or (self.folded & ~is_labeled).any():
-            return None
-        return is_labeled
+        self.row_of: dict[InstanceRecord, int] = {}
+        self.folded: set[InstanceRecord] = set()
+        self.E = self.mins = None
 
     def __call__(self, labeled, pool) -> float:
         if not len(labeled):
             return math.inf
-        is_labeled = self._labeled_rows(labeled, pool)
-        if is_labeled is None:
-            self.instances = list(labeled) + list(pool)
-            self.row_of = {id(r): i for i, r in enumerate(self.instances)}
-            self.E = self.metric.embed(self.instances)
-            self.mins = np.full(len(self.instances), np.inf)
-            self.folded = np.zeros(len(self.instances), dtype=bool)
-            is_labeled = np.zeros(len(self.instances), dtype=bool)
-            is_labeled[: len(labeled)] = True
-        new = np.flatnonzero(is_labeled & ~self.folded)
+        records = [*labeled, *pool]
+        now_labeled = set(labeled)
+        if self.row_of.keys() != set(records) or not self.folded <= now_labeled:
+            self.row_of = {r: i for i, r in enumerate(records)}
+            self.folded = set()
+            self.E = self.metric.embed(records)
+            self.mins = np.full(len(records), np.inf)
+        # In ``labeled``'s order, so reruns fold the same blocks.
+        new = [self.row_of[r] for r in labeled if r not in self.folded]
         fold_min_distances(self.metric, self.E, self.E[new], self.mins)
-        self.folded = is_labeled
+        self.folded = now_labeled
         return float(self.mins.max())
 
 
@@ -483,12 +463,13 @@ def covering_radius_hook(metric) -> PerformanceHook:
 
     Equal to ``covering_radius`` on every call (up to rounding in the last
     bits), but incremental: the first call embeds the instance set
-    (labeled + pool) once, and while later calls pass the same records
-    with a labeled set that only grew, only the newly labeled rows are
-    folded into each instance's minimum distance, in blocks of
-    ``FOLD_BLOCK`` rows, so no call holds more than N x FOLD_BLOCK
-    distances. Any other call (a labeled record dropped, a record not seen
-    before, a different instance set) starts over. Records are matched by
+    (labeled + pool) once, and while later calls pass the same set of
+    records with a labeled set that only grew, only the newly labeled
+    rows are folded into each instance's minimum distance, in
+    ``labeled``'s order and in blocks of ``FOLD_BLOCK`` rows, so no call
+    holds more than N x FOLD_BLOCK distances. A call whose labeled + pool
+    is not exactly the embedded set of records, or whose labeled set
+    lacks a record folded before, starts over. Records are matched by
     identity, so a second dataset with the same instance ids is a
     different set.
     """

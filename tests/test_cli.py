@@ -280,6 +280,10 @@ class TestSimulate:
             (("seeds",), [True]),
             (("campaign", "round_budgets"), [4, 8.6]),
             (("campaign", "round_budgets"), [1.5, 3.9]),
+            (("seeds",), 5),
+            (("campaign", "round_budgets"), 8),
+            (("dataset",), 5),
+            (("output",), 5),
         ],
         ids=lambda v: ".".join(v) if isinstance(v, tuple) else json.dumps(v),
     )
@@ -295,6 +299,27 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert key in err
+
+    @pytest.mark.parametrize(
+        "path, value, named",
+        [
+            (("campaign", "alpha"), -1, "alpha"),
+            (("strategy", "kind"), "mystery", "mystery"),
+            (("strategy", "views"), ["nope"], "views"),
+        ],
+        ids=["alpha", "kind", "views"],
+    )
+    def test_refused_config_leaves_no_output_dir(self, sim_setup, capsys, path, value, named):
+        config, config_path, tmp_path = sim_setup
+        parent, key = path
+        config[parent][key] = value
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+        assert not out.exists()
 
     def test_integral_float_seeds_and_budgets_run(self, sim_setup):
         config, config_path, tmp_path = sim_setup

@@ -1,0 +1,85 @@
+"""Same picks, same curves: small campaigns pinned to their request events
+and covering-radius curves.
+
+Each run is ``run_campaign`` on ``generate_synthetic(SyntheticSpec(12, 20),
+seed=s)`` with round budgets (10, 25, 45, 70), the strategy seeded with s,
+and ``covering_radius_hook`` over all of the dataset's views. The digest
+hashes every request event as ``round,instance_id,outcome,charged``, one
+line each, in campaign order; curve y values must match to 1e-9. A change
+that alters any pick, tie rule, outcome or hook value fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from alsim.features import FusedCosineMetric
+from alsim.selection import StrategyConfig
+from alsim.simulation import CampaignConfig, SyntheticSpec, covering_radius_hook, generate_synthetic, run_campaign
+
+# name: (strategy kind, pca_var_keep)
+RUNS = {
+    "coreset": ("coreset", None),
+    "coreset_pca": ("coreset", 0.95),
+    "random": ("random", None),
+    "ens_depth_var": ("ens_depth_var", None),
+}
+
+# (name, seed): (events sha256, curve y values)
+PINNED = {
+    ("coreset", 0): (
+        "714375c8382154622826831eb5837d701cb276dcd1cec361e780cb19156e52cb",
+        (1.1796983488812058, 0.6144458751019273, 0.003327516741947867, 0.0032028800244181532, 0.0032028800244181532),
+    ),
+    ("coreset", 1): (
+        "3ce26c01345188575a97686d81f841d686ae7d6fb1bcb8dbe584a6ea8f99ae0b",
+        (1.1806551299900285, 0.6402428533879694, 0.0038360627521663027, 0.003698941656810728, 0.003539357630486628),
+    ),
+    ("coreset_pca", 0): (
+        "b84f4d3aaf3305159a6b0c22fe92cc309b4efc4289db4b8dbf1bdb62ed885faf",
+        (1.1796983488812058, 0.6143510933856536, 0.0037355062993200683, 0.0032028800244181532, 0.0032028800244181532),
+    ),
+    ("coreset_pca", 1): (
+        "b0e1add409ecd8a597039ec897e1ae28760f1f0bcdc895cb11b69cb35466c49c",
+        (1.1806551299900285, 0.6580542279519559, 0.004058378372998717, 0.003996229154068387, 0.0037423708165990055),
+    ),
+    ("random", 0): (
+        "4cb2912559e361d0cd9b8500fede15443dd76e78a26180a592c67554635865f7",
+        (1.1796983488812058, 0.8598802811441609, 0.004096350562075357, 0.003158807229800553, 0.003047143560469534),
+    ),
+    ("random", 1): (
+        "9810fa52aae18011739f4f75c66910e5c16d47e6c66197fe23611045bf458647",
+        (1.1806551299900285, 0.8609737400885957, 0.6402428533879694, 0.003976276684688473, 0.003976276684688473),
+    ),
+    ("ens_depth_var", 0): (
+        "5c3a2ac7da9e81e497ed26d90624863d99330a154f5705ba21bc0a263b135a2f",
+        (1.1796983488812058, 0.8479803907408643, 0.004294015471940527, 0.004038933150595003, 0.003338137392980056),
+    ),
+    ("ens_depth_var", 1): (
+        "762fcbe3af349a62c04b7320bb5bbae329f9ae6e274c65e9266ad828409ca205",
+        (1.1806551299900285, 0.9042215809264772, 0.004377257505618237, 0.004377257505618237, 0.004377257505618237),
+    ),
+}
+
+
+def events_digest(state) -> str:
+    h = hashlib.sha256()
+    for log in state.history:
+        for ev in log.events:
+            h.update(f"{ev.round_index},{ev.instance_id},{ev.outcome},{int(ev.charged)}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name,seed", sorted(PINNED), ids=lambda v: str(v))
+def test_same_picks_same_curves(name, seed):
+    kind, pca_var_keep = RUNS[name]
+    data = generate_synthetic(SyntheticSpec(12, 20), seed=seed)
+    cfg = CampaignConfig(
+        strategy=StrategyConfig(kind=kind, views=data.views if kind == "coreset" else (), seed=seed),
+        round_budgets=(10, 25, 45, 70),
+        pca_var_keep=pca_var_keep,
+    )
+    curve, state = run_campaign(cfg, data, covering_radius_hook(FusedCosineMetric(data.views)))
+    digest, ys = PINNED[name, seed]
+    assert events_digest(state) == digest
+    assert [p.y for p in curve.points] == pytest.approx(ys, rel=1e-9, abs=1e-9)

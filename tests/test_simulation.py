@@ -400,6 +400,40 @@ class TestCoveringRadiusHook:
         assert abs(hook(labeled, pool) - covering_radius(labeled, pool, metric)) <= 1e-12
 
     @settings(deadline=None)
+    @given(fixture=labeling_orders(), data=st.data())
+    def test_pool_losing_a_record_while_labeled_grows_matches_from_scratch(self, fixture, data):
+        views, make_records, order, sizes = fixture
+        records = make_records()
+        metric = FusedCosineMetric(views)
+        hook = covering_radius_hook(metric)
+        assume(sizes[0] + 2 <= len(records))
+        hook(*split_by_order(records, order, sizes[0]))
+        labeled, pool = split_by_order(records, order, sizes[0] + 1)
+        gone = data.draw(st.sampled_from(pool))
+        pool = [r for r in pool if r is not gone]
+        assert abs(hook(labeled, pool) - covering_radius(labeled, pool, metric)) <= 1e-12
+
+    @settings(deadline=None)
+    @given(fixture=labeling_orders(), data=st.data())
+    def test_record_in_labeled_and_pool_matches_from_scratch(self, fixture, data):
+        views, make_records, order, sizes = fixture
+        records = make_records()
+        metric = FusedCosineMetric(views)
+        hook = covering_radius_hook(metric)
+        assume(sizes[0] + 2 <= len(records))
+        hook(*split_by_order(records, order, sizes[0]))
+        labeled, pool = split_by_order(records, order, sizes[0] + 1)
+        # A labeled record is listed in the pool too, in the place of a
+        # pool record that left or beside the whole pool: the count of
+        # records passed stays the same or grows.
+        twin = data.draw(st.sampled_from(labeled))
+        if data.draw(st.booleans()):
+            pool.remove(data.draw(st.sampled_from(pool)))
+        pool.insert(data.draw(st.integers(0, len(pool))), twin)
+        for _ in range(2):
+            assert abs(hook(labeled, pool) - covering_radius(labeled, pool, metric)) <= 1e-12
+
+    @settings(deadline=None)
     @given(fixture=labeling_orders())
     def test_second_dataset_with_same_ids_matches_from_scratch(self, fixture):
         views, make_records, order, sizes = fixture
@@ -553,10 +587,8 @@ class TestGenerateSynthetic:
     def test_every_instance_matchable(self):
         data = generate_synthetic(small_spec(clusters=6, per_cluster=8), seed=9)
         for r in data.instances:
-            result = match_request(
-                r.center, r.pred_depth, r.class_id, data.gts_of_image(r.image_id),
-                data.camera, 2.0, 25.0,
-            )
+            gts = [g for g in data.ground_truth if g.image_id == r.image_id]
+            result = match_request(r.center, r.pred_depth, r.class_id, gts, data.camera, 2.0, 25.0)
             assert result.matched
 
     def test_pixel_heights_clear_min_filter(self):
