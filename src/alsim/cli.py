@@ -9,6 +9,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 from .dataio import DatasetError, load_dataset, read_raw_export, write_dataset
 from .features import FusedCosineMetric
 from .metrics import Curve, naurc
-from .records import Dataset, validate_dataset
+from .records import Dataset, ViewSpec, validate_dataset
 from .selection import CORESET_KINDS, STRATEGY_KINDS, DepthFilters, StrategyConfig
 from .simulation import CampaignConfig, _whole_numbers, covering_radius_hook, run_campaign
 
@@ -74,13 +75,20 @@ def _object(obj: dict, key: str) -> dict:
 
 def _number(obj: dict, key: str, default: float | None) -> float | None:
     """``obj[key]`` as a float, ``default`` when absent or null; a string,
-    list, object or boolean is refused with a message naming the key."""
+    list, object, boolean, NaN or infinity is refused with a message
+    naming the key."""
     value = obj.get(key)
     if value is None:
         return default
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _UsageError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise _UsageError(f"{key} must be a finite number, got {number!r}")
+    return number
 
 
 def _string(obj: dict, key: str, default: str | None = None) -> str:
@@ -93,7 +101,9 @@ def _string(obj: dict, key: str, default: str | None = None) -> str:
     return value
 
 
-def _resolve_strategy(cfg: dict, dataset: Dataset) -> StrategyConfig:
+def _strategy_keys(cfg: dict) -> tuple[str, list | None, DepthFilters]:
+    """The ``strategy`` object's kind, view names (None when absent) and
+    depth filters, checked without the dataset."""
     kind = cfg.get("kind")
     if kind not in STRATEGY_KINDS:
         raise _UsageError(
@@ -102,22 +112,22 @@ def _resolve_strategy(cfg: dict, dataset: Dataset) -> StrategyConfig:
     view_names = cfg.get("views")
     if not isinstance(view_names, (list, type(None))):
         raise _UsageError(f"views must be a list of view names, got {view_names!r}")
+    filters = _object(cfg, "far_depth_filters")
+    return kind, view_names, DepthFilters(
+        min_px_height=_number(filters, "min_px_height", 25.0),
+        max_depth=_number(filters, "max_depth", 50.0),
+    )
+
+
+def _resolve_views(view_names: list | None, kind: str, dataset: Dataset) -> tuple[ViewSpec, ...]:
+    """The named views of ``dataset``; greedy kinds default to all of them."""
     if view_names is None and kind in CORESET_KINDS:
         view_names = [v.name for v in dataset.views]
     try:
-        views = tuple(dataset.view(name) for name in (view_names or []))
+        return tuple(dataset.view(name) for name in (view_names or []))
     except KeyError as exc:
         known = ", ".join(v.name for v in dataset.views)
         raise _UsageError(f"views: {exc.args[0]}; the dataset has {known}") from None
-    filters = _object(cfg, "far_depth_filters")
-    return StrategyConfig(
-        kind=kind,
-        views=views,
-        far_depth_filters=DepthFilters(
-            min_px_height=_number(filters, "min_px_height", 25.0),
-            max_depth=_number(filters, "max_depth", 50.0),
-        ),
-    )
 
 
 def _curve_lines(curve: Curve, provenance: str) -> str:
@@ -155,6 +165,7 @@ def cmd_simulate(args) -> int:
             min_px_height=_number(campaign, "min_px_height", 25.0),
             pca_var_keep=_number(campaign, "pca_var_keep", None),
         )
+        kind, view_names, filters = _strategy_keys(_object(cfg_obj, "strategy"))
         if settings["initial_fraction"] == 0.0:
             raise _UsageError("initial_fraction must be > 0: the covering-radius curve needs a labeled set")
     except (_UsageError, KeyError, TypeError, ValueError) as exc:
@@ -170,7 +181,9 @@ def cmd_simulate(args) -> int:
     # The strategy's views come from the dataset; every seed runs this
     # config with its own strategy seed.
     try:
-        ccfg = CampaignConfig(strategy=_resolve_strategy(_object(cfg_obj, "strategy"), dataset), **settings)
+        views = _resolve_views(view_names, kind, dataset)
+        strategy = StrategyConfig(kind=kind, views=views, far_depth_filters=filters)
+        ccfg = CampaignConfig(strategy=strategy, **settings)
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

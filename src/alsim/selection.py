@@ -34,6 +34,7 @@ labeled set once, so each pick costs one matrix-vector product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterator, Mapping, Sequence
@@ -78,6 +79,13 @@ class DepthFilters:
 
     min_px_height: float = 25.0
     max_depth: float = 50.0
+
+    def __post_init__(self):
+        # Every comparison with NaN is false, so a NaN bound would pass
+        # no instance at all.
+        for name in ("min_px_height", "max_depth"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got nan")
 
 
 @dataclass(frozen=True)

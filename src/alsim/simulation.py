@@ -98,7 +98,9 @@ class RoundLog:
 
 @dataclass(frozen=True)
 class RoundState:
-    """Campaign state between rounds; the driver owns it exclusively."""
+    """Campaign state between rounds, owned by the campaign loop. A round
+    reads only the ledger: labels, and the ids of instances whose request
+    matched or was charged. ``history`` is kept for the outputs."""
 
     round_index: int
     labeled_gt: frozenset[int]
@@ -106,6 +108,8 @@ class RoundState:
     labeled_images: frozenset[str]
     rng_seed: int
     history: tuple[RoundLog, ...] = ()
+    matched_ids: frozenset[int] = frozenset()
+    charged_ids: frozenset[int] = frozenset()
 
 
 def _whole_numbers(name: str, values) -> tuple[int, ...]:
@@ -147,6 +151,8 @@ class CampaignConfig:
             raise ValueError(f"initial_fraction must be > 0 for greedy strategy {self.strategy.kind!r}")
         if not self.h_scale > 0:
             raise ValueError(f"h_scale must be > 0, got {self.h_scale}")
+        if math.isnan(self.min_px_height):
+            raise ValueError("min_px_height must be a number, got nan")
         if self.pca_var_keep is not None and not 0.0 < self.pca_var_keep <= 1.0:
             raise ValueError(f"pca_var_keep must be in (0, 1], got {self.pca_var_keep}")
 
@@ -197,25 +203,12 @@ def _split(
     state: RoundState, records: Sequence[InstanceRecord]
 ) -> tuple[list[InstanceRecord], list[InstanceRecord]]:
     """(labeled, pool) of ``records``, each in ``records``' order. A record
-    is labeled when its image was seeded or a request for it matched."""
-    matched = {ev.instance_id for log in state.history for ev in log.events if ev.outcome == "matched"}
+    is labeled when the ledger has its image seeded or its request matched."""
     labeled: list[InstanceRecord] = []
     pool: list[InstanceRecord] = []
     for r in records:
-        (labeled if r.image_id in state.labeled_images or r.instance_id in matched else pool).append(r)
+        (labeled if r.image_id in state.labeled_images or r.instance_id in state.matched_ids else pool).append(r)
     return labeled, pool
-
-
-def _prior_requests_by_image(state: RoundState, data: Dataset) -> dict[str, list]:
-    by_id = {r.instance_id: r for r in data.instances}
-    priors: dict[str, list] = {}
-    for log in state.history:
-        for ev in log.events:
-            if not ev.charged:
-                continue
-            r = by_id[ev.instance_id]
-            priors.setdefault(ev.image_id, []).append((r.center, r.class_id))
-    return priors
 
 
 def run_round(
@@ -234,7 +227,8 @@ def run_round(
     without charge. Every other request is charged, matched or not;
     matched ground truth moves to the labeled set. The round stops once
     the cumulative requested total reaches this round's budget target or
-    the ranking is exhausted.
+    the ranking is exhausted. Earlier rounds are read from ``state``'s
+    ledger, and the returned state adds this round's events to it.
 
     Raises:
         ValueError: if ``cfg.pca_var_keep`` is set, if the budget target
@@ -256,7 +250,11 @@ def run_round(
         labeled = _split(state, data.instances)[0]
         metric = FusedCosineMetric(cfg.strategy.views)
 
-    priors = _prior_requests_by_image(state, data)
+    # Per image, the (center, class) of every request charged so far.
+    priors: dict[str, list] = {}
+    for r in data.instances:
+        if r.instance_id in state.charged_ids:
+            priors.setdefault(r.image_id, []).append((r.center, r.class_id))
     labeled_gt = set(state.labeled_gt)
     # Per image, the ground truth not yet labeled; a match removes its object.
     open_gts: dict[str, list[GroundTruthObject]] = {}
@@ -333,6 +331,8 @@ def run_round(
         labeled_images=state.labeled_images,
         rng_seed=state.rng_seed,
         history=state.history + (log,),
+        matched_ids=state.matched_ids | {ev.instance_id for ev in events if ev.outcome == "matched"},
+        charged_ids=state.charged_ids | {ev.instance_id for ev in events if ev.charged},
     )
     return new_state, log
 
@@ -382,7 +382,6 @@ def run_campaign(
         requested_total=0,
         labeled_images=seeded,
         rng_seed=cfg.strategy.seed,
-        history=(),
     )
 
     labeled, pool = _split(state, data.instances)

@@ -284,6 +284,11 @@ class TestSimulate:
             (("campaign", "round_budgets"), 8),
             (("dataset",), 5),
             (("output",), 5),
+            (("campaign", "min_px_height"), float("nan")),
+            (("campaign", "H"), float("inf")),
+            (("strategy", "far_depth_filters", "max_depth"), float("nan")),
+            (("strategy", "far_depth_filters", "min_px_height"), float("-inf")),
+            pytest.param(("campaign", "alpha"), 10**400, id="campaign.alpha-10**400"),
         ],
         ids=lambda v: ".".join(v) if isinstance(v, tuple) else json.dumps(v),
     )
@@ -299,6 +304,26 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert key in err
+
+    @pytest.mark.parametrize(
+        "strategy, named",
+        [
+            ({"kind": "random", "far_depth_filters": {"max_depth": "x"}}, "max_depth"),
+            ({"kind": "mystery"}, "mystery"),
+            ("random", "strategy"),
+        ],
+        ids=["filter_value", "kind", "not_an_object"],
+    )
+    def test_strategy_checked_before_the_load(self, sim_setup, capsys, strategy, named):
+        # The dataset is absent: a bad strategy key must be named (exit 2),
+        # not hidden behind the load error (exit 1).
+        config, config_path, tmp_path = sim_setup
+        config.update(dataset=str(tmp_path / "absent.jsonl"), strategy=strategy)
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
 
     @pytest.mark.parametrize(
         "path, value, named",

@@ -7,9 +7,17 @@ and ``covering_radius_hook`` over all of the dataset's views. The digest
 hashes every request event as ``round,instance_id,outcome,charged``, one
 line each, in campaign order; curve y values must match to 1e-9. A change
 that alters any pick, tie rule, outcome or hook value fails here.
+
+The crowded runs keep every third ground-truth object of
+``generate_synthetic(SyntheticSpec(4, 60), seed=s)`` and go 12 rounds of
+8 requests. Most requests there find no object or repeat an earlier one,
+so null requests come up in almost every round and suppressions climb to
+66 in one round: they pin how requests charged in earlier rounds
+suppress later ones.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -81,5 +89,61 @@ def test_same_picks_same_curves(name, seed):
     )
     curve, state = run_campaign(cfg, data, covering_radius_hook(FusedCosineMetric(data.views)))
     digest, ys = PINNED[name, seed]
+    assert events_digest(state) == digest
+    assert [p.y for p in curve.points] == pytest.approx(ys, rel=1e-9, abs=1e-9)
+
+
+# (kind, seed): (events sha256, curve y values)
+CROWDED = {
+    ("coreset", 0): (
+        "b319ae0aa0c414a8bdbd5c631830b2c6efccf9527242f385ff7821db490f500e",
+        (
+            1.0547212788568199, 0.003960216783575499, 0.003759803065919387, 0.0036983307775260155,
+            0.003550454684171478, 0.0034152894302342807, 0.0033008420319051712, 0.0033008420319051712,
+            0.0031630936899315065, 0.0031630936899315065, 0.0031630936899315065, 0.0031630936899315065,
+            0.0031630936899315065,
+        ),
+    ),
+    ("coreset", 1): (
+        "5b279e01b85de5aa778cfe7e167ee98c896442cc42d5e835c34edc7331263565",
+        (
+            1.319726678335876, 0.005919520060716277, 0.005258740640357473, 0.0050167724783054535,
+            0.004198364930795839, 0.004198364930795839, 0.004198364930795839, 0.004198364930795839,
+            0.004198364930795839, 0.004198364930795839, 0.004198364930795839, 0.004198364930795839,
+            0.004198364930795839,
+        ),
+    ),
+    ("random", 0): (
+        "5d2fc4a930f6564f34476cd4cb7a7b3098ed0969a082437e4970b02ef1fbb51e",
+        (
+            1.0547212788568199, 0.004633452627187062, 0.004566946208003353, 0.003515024136870215,
+            0.0032271819401572532, 0.0032271819401572532, 0.0032271819401572532, 0.0029903400519606382,
+            0.0029903400519606382, 0.0029903400519606382, 0.0029903400519606382, 0.0029903400519606382,
+            0.0029903400519606382,
+        ),
+    ),
+    ("random", 1): (
+        "8d5bdb9ab8e27c373c1926a06e1bdb9be49340292844fe252b8063757b131f59",
+        (
+            1.319726678335876, 0.9569868195131299, 0.005297332512737674, 0.004805781196557279,
+            0.004805781196557279, 0.004709979886186488, 0.004446758976566323, 0.004446758976566323,
+            0.004446758976566323, 0.004446758976566323, 0.004446758976566323, 0.004446758976566323,
+            0.0039410910750057315,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind,seed", sorted(CROWDED), ids=lambda v: str(v))
+def test_crowded_campaign_same_picks_same_curves(kind, seed):
+    data = generate_synthetic(SyntheticSpec(4, 60), seed=seed)
+    data = replace(data, ground_truth=data.ground_truth[::3])
+    cfg = CampaignConfig(
+        strategy=StrategyConfig(kind=kind, views=data.views if kind == "coreset" else (), seed=seed),
+        round_budgets=tuple(range(8, 97, 8)),
+    )
+    curve, state = run_campaign(cfg, data, covering_radius_hook(FusedCosineMetric(data.views)))
+    assert sum(log.suppressed for log in state.history) > 0
+    digest, ys = CROWDED[kind, seed]
     assert events_digest(state) == digest
     assert [p.y for p in curve.points] == pytest.approx(ys, rel=1e-9, abs=1e-9)

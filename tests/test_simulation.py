@@ -14,7 +14,7 @@ from alsim import features, simulation
 from alsim.features import FusedCosineMetric, compress_views
 from alsim.geometry import match_request
 from alsim.records import ViewSpec
-from alsim.selection import CORESET_KINDS, STRATEGY_KINDS, StrategyConfig, ensemble_depth_variance
+from alsim.selection import CORESET_KINDS, STRATEGY_KINDS, DepthFilters, StrategyConfig, ensemble_depth_variance
 from alsim.simulation import (
     CampaignConfig,
     RoundState,
@@ -247,6 +247,28 @@ class TestRunRound:
         assert [(ev.outcome, ev.gt_id) for ev in log.events] == [("matched", 100), ("matched", 101)]
         assert state.labeled_gt == {100, 101}
 
+    @pytest.mark.parametrize("kind,seed", [("random", 2), ("coreset", 0)])
+    def test_next_round_reads_only_the_ledger(self, kind, seed):
+        # Crowded images with two thirds of the ground truth dropped: the
+        # first two rounds match and miss, the third suppresses, and it
+        # must see what came before through the state's id sets alone.
+        data = generate_synthetic(SyntheticSpec(4, 60), seed=seed)
+        data = replace(data, ground_truth=data.ground_truth[::3])
+        views = data.views if kind in CORESET_KINDS else ()
+        cfg = CampaignConfig(strategy=StrategyConfig(kind=kind, views=views, seed=seed), round_budgets=(8, 16, 24))
+        seeded = frozenset(["img0000"])
+        state = RoundState(0, frozenset(g.gt_id for g in data.ground_truth if g.image_id in seeded), 0, seeded, seed)
+        for _ in range(2):
+            state, _ = run_round(state, data, cfg, _split(state, data.instances)[1])
+        assert {"matched", "null"} <= {ev.outcome for log in state.history for ev in log.events}
+
+        def next_events(s):
+            return run_round(s, data, cfg, _split(s, data.instances)[1])[1].events
+
+        events = next_events(state)
+        assert any(ev.outcome == "suppressed" for ev in events)
+        assert next_events(replace(state, history=())) == events
+
 
 def small_spec(clusters=4, per_cluster=6, **kw):
     return SyntheticSpec(clusters=clusters, per_cluster=per_cluster, **kw)
@@ -267,6 +289,21 @@ class TestRunCampaign:
     def test_non_integral_budgets_refused(self, budgets):
         with pytest.raises(ValueError, match="round_budgets"):
             CampaignConfig(strategy=StrategyConfig(kind="random"), round_budgets=budgets)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: CampaignConfig(strategy=StrategyConfig(kind="random"), round_budgets=(4,), min_px_height=math.nan),
+            lambda: DepthFilters(min_px_height=math.nan),
+            lambda: DepthFilters(max_depth=math.nan),
+        ],
+        ids=["campaign_min_px_height", "filters_min_px_height", "filters_max_depth"],
+    )
+    def test_nan_thresholds_refused(self, build):
+        # Every comparison with NaN is false: a NaN threshold would make
+        # no request or pass no instance, without a word.
+        with pytest.raises(ValueError, match="must be a number, got nan"):
+            build()
 
     def test_integral_float_and_numpy_budgets_accepted(self):
         budgets = (400.0, np.int64(800), np.float64(1200.0), 10**400)
@@ -563,6 +600,10 @@ class TestRunRoundProperties:
             matched_gt = {ev.gt_id for ev in log.events if ev.outcome == "matched"}
             assert len(matched_gt) == log.matched and not matched_gt & state.labeled_gt
             assert new.labeled_gt == state.labeled_gt | matched_gt
+            # The ledger holds what a replay of the history gives.
+            replayed = [ev for past in new.history for ev in past.events]
+            assert new.matched_ids == {ev.instance_id for ev in replayed if ev.outcome == "matched"}
+            assert new.charged_ids == {ev.instance_id for ev in replayed if ev.charged}
             charged_ids += [ev.instance_id for ev in log.events if ev.charged]
             state = new
         assert len(charged_ids) == len(set(charged_ids))
