@@ -42,7 +42,6 @@ from .simulation import (
     generate_synthetic,
     run_campaign,
     run_round,
-    sample_bagged_labels,
     sample_loss_weights,
 )
 from .metrics import Curve, CurvePoint, accounting_x, aurc_segment, interpolate_at_budget, naurc

@@ -151,6 +151,9 @@ def cmd_simulate(args) -> int:
         seeds = (args.seed,) if args.seed is not None else _whole_numbers("seeds", cfg_obj.get("seeds", [0]))
         if not seeds:
             raise _UsageError("config must list at least one seed")
+        if min(seeds) < 0:
+            named = "seeds" if args.seed is None else "--seed"
+            raise _UsageError(f"{named} must be >= 0, got {', '.join(map(str, seeds))}")
         dataset_path = Path(_string(cfg_obj, "dataset"))
         if not dataset_path.is_absolute():
             dataset_path = config_path.parent / dataset_path
@@ -272,6 +275,9 @@ def _method_names(paths) -> list[str]:
 
 
 def cmd_naurc(args) -> int:
+    if not math.isfinite(args.budget):
+        print(f"error: --budget must be a finite number, got {args.budget!r}", file=sys.stderr)
+        return 2
     scored: list[tuple[str, float]] = []
     failed: list[str] = []
     for path, method in zip(args.curves, _method_names(args.curves)):

@@ -39,6 +39,7 @@ from .records import (
     GroundTruthObject,
     InstanceRecord,
     ViewSpec,
+    _whole,
     validate_dataset,
 )
 
@@ -82,7 +83,7 @@ def read_blob(path) -> np.ndarray:
 def _parse_views(header: dict) -> tuple[ViewSpec, ...]:
     views = []
     for entry in header.get("views", []):
-        views.append(ViewSpec(name=str(entry["name"]), dim=int(entry["dim"]), lam=float(entry["lambda"])))
+        views.append(ViewSpec(name=str(entry["name"]), dim=_whole(entry["dim"]), lam=float(entry["lambda"])))
     return tuple(views)
 
 
@@ -91,8 +92,8 @@ def _parse_instance(obj: dict, inline: dict[str, tuple[array, list[int]]]) -> In
     aux = obj.get("aux_depths")
     record = InstanceRecord(
         image_id=str(obj["image_id"]),
-        instance_id=int(obj["instance_id"]),
-        class_id=int(obj["class_id"]),
+        instance_id=_whole(obj["instance_id"]),
+        class_id=_whole(obj["class_id"]),
         box2d=Box2D(float(box["cx"]), float(box["cy"]), float(box["w"]), float(box["h"])),
         features={},
         pred_depth=None if obj.get("pred_depth") is None else float(obj["pred_depth"]),
@@ -109,9 +110,9 @@ def _parse_instance(obj: dict, inline: dict[str, tuple[array, list[int]]]) -> In
 def _parse_gt(obj: dict) -> GroundTruthObject:
     cx, cy = obj["center2d"]
     return GroundTruthObject(
-        gt_id=int(obj["gt_id"]),
+        gt_id=_whole(obj["gt_id"]),
         image_id=str(obj["image_id"]),
-        class_id=int(obj["class_id"]),
+        class_id=_whole(obj["class_id"]),
         center2d=(float(cx), float(cy)),
         depth=float(obj["depth"]),
         pixel_height=float(obj["pixel_height"]),

@@ -14,6 +14,7 @@ optionally be PCA-compressed before distances are taken.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -85,9 +86,9 @@ class FusedCosineMetric:
     def __init__(self, views: Sequence[ViewSpec]):
         if not views:
             raise ValueError("metric needs at least one view")
-        negative = [v.name for v in views if v.lam < 0]
-        if negative:
-            raise ValueError(f"view weights must be >= 0; negative for {negative}")
+        refused = [v.name for v in views if not 0 <= v.lam < math.inf]
+        if refused:
+            raise ValueError(f"view weights must be finite and >= 0; negative or non-finite for {refused}")
         self.views = tuple(views)
         self.total = sum(v.lam for v in self.views)
         if abs(self.total - 1.0) > 1e-9:

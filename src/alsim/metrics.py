@@ -74,9 +74,12 @@ def interpolate_at_budget(curve: Curve, budget: float) -> float:
     held when the curve ends at or before the budget.
 
     Raises:
-        ValueError: if the budget lies before the first point.
+        ValueError: if the budget is not finite or lies before the first
+            point.
     """
     pts = curve.points
+    if not math.isfinite(budget):
+        raise ValueError(f"budget must be finite, got {budget}")
     if budget < pts[0].x:
         raise ValueError(f"budget {budget} is below the curve start {pts[0].x}")
     # index of the last knot at or before the budget
@@ -101,9 +104,11 @@ def naurc(curve: Curve, budget: float) -> float:
     though normalization uses the whole budget.
 
     Raises:
-        ValueError: unless budget > the curve's first x.
+        ValueError: unless the budget is finite and > the curve's first x.
     """
     pts = curve.points
+    if not math.isfinite(budget):
+        raise ValueError(f"budget must be finite, got {budget}")
     if not budget > pts[0].x:
         raise ValueError(f"budget {budget} must exceed the curve start {pts[0].x}")
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Mapping
 
 import numpy as np
@@ -116,6 +117,17 @@ def _finite(*values: float) -> bool:
     return all(math.isfinite(v) for v in values)
 
 
+def _whole(value) -> int:
+    """``value`` as an int: 3, 3.0 and numpy numbers like them pass; a
+    fraction, a non-finite float, a boolean, a string or anything else
+    raises ValueError. Plain type tests first: parsers call this per line."""
+    if type(value) is int:
+        return value
+    if isinstance(value, float) and value.is_integer() or isinstance(value, Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"expected a whole number, got {value!r}")
+
+
 def validate_dataset(d: Dataset) -> list[str]:
     """Check every type invariant and return the list of violations.
 
@@ -126,8 +138,8 @@ def validate_dataset(d: Dataset) -> list[str]:
     """
     violations: list[str] = []
 
-    if not d.camera.f_x > 0 or not d.camera.f_y > 0:
-        violations.append(f"camera: focal lengths must be positive, got ({d.camera.f_x}, {d.camera.f_y})")
+    if not (0 < d.camera.f_x < math.inf and 0 < d.camera.f_y < math.inf):
+        violations.append(f"camera: focal lengths must be finite and > 0, got ({d.camera.f_x}, {d.camera.f_y})")
 
     seen_views: set[str] = set()
     for v in d.views:
@@ -136,8 +148,8 @@ def validate_dataset(d: Dataset) -> list[str]:
         seen_views.add(v.name)
         if v.dim < 1:
             violations.append(f"view {v.name!r}: dim must be >= 1, got {v.dim}")
-        if v.lam < 0:
-            violations.append(f"view {v.name!r}: lambda must be >= 0, got {v.lam}")
+        if not 0 <= v.lam < math.inf:
+            violations.append(f"view {v.name!r}: lambda must be finite and >= 0, got {v.lam}")
 
     seen_ids: set[int] = set()
     for r in d.instances:

@@ -100,6 +100,8 @@ class StrategyConfig:
             raise ValueError(f"unknown strategy kind {self.kind!r}; valid: {', '.join(STRATEGY_KINDS)}")
         if self.kind in CORESET_KINDS and not self.views:
             raise ValueError(f"strategy {self.kind!r} needs a nonempty view list")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def iter_coreset_picks(

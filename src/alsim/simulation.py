@@ -9,22 +9,22 @@ strategy's reference set for later rounds.
 
 The module also carries the training-side schedules of the simulated
 detector ensemble (time-decayed label bagging and loss-weight
-perturbation); each round log records their values.
+perturbation); each round log records their values and the bag size, and
+no bag is drawn.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from numbers import Integral
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .features import FusedCosineMetric, compress_views, fold_min_distances
 from .geometry import match_request, suppress_duplicate
 from .metrics import Curve, CurvePoint
-from .records import Box2D, CameraModel, Dataset, GroundTruthObject, InstanceRecord, ViewSpec
+from .records import Box2D, CameraModel, Dataset, GroundTruthObject, InstanceRecord, ViewSpec, _whole
 from .selection import CORESET_KINDS, StrategyConfig, rank_pool, validate_strategy_setup
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "CampaignConfig",
     "bagging_fraction",
     "sample_loss_weights",
-    "sample_bagged_labels",
     "run_round",
     "run_campaign",
     "covering_radius",
@@ -115,12 +114,10 @@ class RoundState:
 def _whole_numbers(name: str, values) -> tuple[int, ...]:
     """``values`` as ints; ``400.0`` passes, while a non-list, or a string,
     boolean, fraction or non-finite item, raises a ValueError naming ``name``."""
-    items = tuple(values) if isinstance(values, Iterable) else None
-    if items is None or any(
-        isinstance(v, bool) or not (isinstance(v, Integral) or isinstance(v, float) and v.is_integer()) for v in items
-    ):
-        raise ValueError(f"{name} must be a list of whole numbers, got {values!r}")
-    return tuple(int(v) for v in items)
+    try:
+        return tuple(_whole(v) for v in values)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a list of whole numbers, got {values!r}") from None
 
 
 @dataclass(frozen=True)
@@ -182,19 +179,6 @@ def sample_loss_weights(subtasks: Sequence[str], delta: float, seed: int) -> dic
     return {name: float(rng.uniform(1.0 - delta, 1.0 + delta)) for name in subtasks}
 
 
-def sample_bagged_labels(labeled_gt: Iterable[int], t: float, alpha: float, seed: int) -> set[int]:
-    """Uniform label subset of size round(s(t) * n), floored at 1 for
-    nonempty inputs so tiny fixtures never train on nothing."""
-    ids = sorted(labeled_gt)
-    if not ids:
-        return set()
-    size = int(round(bagging_fraction(t, alpha) * len(ids)))
-    size = max(1, min(size, len(ids)))
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(ids), size=size, replace=False)
-    return {ids[int(i)] for i in chosen}
-
-
 def _round_seed(base: int, round_index: int, salt: int) -> int:
     return int(np.random.SeedSequence([base, round_index, salt]).generate_state(1)[0])
 
@@ -228,7 +212,9 @@ def run_round(
     matched ground truth moves to the labeled set. The round stops once
     the cumulative requested total reaches this round's budget target or
     the ranking is exhausted. Earlier rounds are read from ``state``'s
-    ledger, and the returned state adds this round's events to it.
+    ledger. The loop records only the events (and the charged count the
+    budget needs); the round log's counts and the returned state's labels
+    and ledger are read off those events.
 
     Raises:
         ValueError: if ``cfg.pca_var_keep`` is set, if the budget target
@@ -255,15 +241,14 @@ def run_round(
     for r in data.instances:
         if r.instance_id in state.charged_ids:
             priors.setdefault(r.image_id, []).append((r.center, r.class_id))
-    labeled_gt = set(state.labeled_gt)
     # Per image, the ground truth not yet labeled; a match removes its object.
     open_gts: dict[str, list[GroundTruthObject]] = {}
     for g in data.ground_truth:
-        if g.gt_id not in labeled_gt:
+        if g.gt_id not in state.labeled_gt:
             open_gts.setdefault(g.image_id, []).append(g)
 
     events: list[RequestEvent] = []
-    charged = matched = suppressed = 0
+    charged = 0
     round_seed = _round_seed(state.rng_seed, state.round_index, 1)
 
     ranking = rank_pool(pool, cfg.strategy, labeled=labeled, metric=metric, seed=round_seed)
@@ -276,7 +261,6 @@ def run_round(
         if suppress_duplicate(
             record.center, record.pred_depth, record.class_id, image_priors, data.camera, cfg.h_scale
         ):
-            suppressed += 1
             events.append(
                 RequestEvent(state.round_index, record.instance_id, record.image_id, "suppressed")
             )
@@ -295,43 +279,38 @@ def run_round(
         image_priors.append((record.center, record.class_id))
         charged += 1
         if result.matched:
-            matched += 1
-            labeled_gt.add(result.gt_id)
             open_gts[record.image_id] = [g for g in candidates if g.gt_id != result.gt_id]
         outcome = "matched" if result.matched else "null"
         events.append(
             RequestEvent(state.round_index, record.instance_id, record.image_id, outcome, result.gt_id, True)
         )
 
-    total_gt = len(data.ground_truth)
-    t = len(labeled_gt) / total_gt if total_gt else 0.0
-    train_fraction = bagging_fraction(t, cfg.alpha)
-    loss_weights = sample_loss_weights(
-        LOSS_SUBTASKS, cfg.delta, _round_seed(state.rng_seed, state.round_index, 2)
-    )
-    bagged = sample_bagged_labels(
-        labeled_gt, t, cfg.alpha, _round_seed(state.rng_seed, state.round_index, 3)
-    )
-
+    matched = [ev for ev in events if ev.outcome == "matched"]
+    labeled_gt = state.labeled_gt | {ev.gt_id for ev in matched}
+    n = len(labeled_gt)
+    train_fraction = bagging_fraction(n / len(data.ground_truth) if data.ground_truth else 0.0, cfg.alpha)
     log = RoundLog(
         round_index=state.round_index,
         budget_target=target,
         events=tuple(events),
         charged=charged,
-        matched=matched,
-        suppressed=suppressed,
+        matched=len(matched),
+        suppressed=len(events) - charged,
         train_fraction=train_fraction,
-        loss_weights=loss_weights,
-        bagged_label_count=len(bagged),
+        loss_weights=sample_loss_weights(
+            LOSS_SUBTASKS, cfg.delta, _round_seed(state.rng_seed, state.round_index, 2)
+        ),
+        # The bag a detector would train on: its size, never drawn.
+        bagged_label_count=max(1, min(int(round(train_fraction * n)), n)) if n else 0,
     )
     new_state = RoundState(
         round_index=state.round_index + 1,
-        labeled_gt=frozenset(labeled_gt),
+        labeled_gt=labeled_gt,
         requested_total=state.requested_total + charged,
         labeled_images=state.labeled_images,
         rng_seed=state.rng_seed,
         history=state.history + (log,),
-        matched_ids=state.matched_ids | {ev.instance_id for ev in events if ev.outcome == "matched"},
+        matched_ids=state.matched_ids | {ev.instance_id for ev in matched},
         charged_ids=state.charged_ids | {ev.instance_id for ev in events if ev.charged},
     )
     return new_state, log

@@ -116,6 +116,45 @@ class TestIngest:
         assert capsys.readouterr().err.startswith(f"error: {raw}:1: not UTF-8 text")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("views", "lambda", float("nan")),
+            ("views", "lambda", float("inf")),
+            ("camera", "fx", float("inf")),
+            ("camera", "fy", float("-inf")),
+        ],
+        ids=["lambda_nan", "lambda_inf", "fx_inf", "fy_-inf"],
+    )
+    def test_non_finite_weight_or_focal_length_exit_1(self, tmp_path, capsys, section, key, value):
+        lines = raw_lines()
+        (lines[0]["views"][0] if section == "views" else lines[0]["camera"])[key] = value
+        raw = tmp_path / "raw.jsonl"
+        write_raw(raw, lines)
+        assert main(["ingest", "--input", str(raw), "--output", str(tmp_path / "out")]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "line, key, value, message",
+        [
+            (2, "instance_id", 1.7, ":3: malformed instance line"),
+            (1, "class_id", 0.9, ":2: malformed instance line"),
+            (1, "class_id", True, ":2: malformed instance line"),
+            (4, "gt_id", "3", ":5: malformed gt line"),
+            (0, "views", [{"name": "v", "dim": 2.9, "lambda": 1.0}], ": malformed header line"),
+        ],
+        ids=["instance_id-1.7", "class_id-0.9", "class_id-true", "gt_id-string", "dim-2.9"],
+    )
+    def test_non_integral_ids_exit_1(self, tmp_path, capsys, line, key, value, message):
+        lines = raw_lines()
+        lines[line][key] = value
+        raw = tmp_path / "raw.jsonl"
+        write_raw(raw, lines)
+        assert main(["ingest", "--input", str(raw), "--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {raw}{message}")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("features", [{}, {"v": [1.0, 2.0, 3.0]}])
     def test_missing_or_misshapen_inline_view_rejected(self, tmp_path, capsys, features):
         lines = raw_lines()
@@ -289,6 +328,8 @@ class TestSimulate:
             (("strategy", "far_depth_filters", "max_depth"), float("nan")),
             (("strategy", "far_depth_filters", "min_px_height"), float("-inf")),
             pytest.param(("campaign", "alpha"), 10**400, id="campaign.alpha-10**400"),
+            (("seeds",), [-1]),
+            (("seeds",), [0, -3.0]),
         ],
         ids=lambda v: ".".join(v) if isinstance(v, tuple) else json.dumps(v),
     )
@@ -331,19 +372,30 @@ class TestSimulate:
             (("campaign", "alpha"), -1, "alpha"),
             (("strategy", "kind"), "mystery", "mystery"),
             (("strategy", "views"), ["nope"], "views"),
+            (("seeds",), [2, -1], "seeds"),
         ],
-        ids=["alpha", "kind", "views"],
+        ids=["alpha", "kind", "views", "seeds"],
     )
     def test_refused_config_leaves_no_output_dir(self, sim_setup, capsys, path, value, named):
         config, config_path, tmp_path = sim_setup
-        parent, key = path
-        config[parent][key] = value
+        *parents, key = path
+        target = config
+        for name in parents:
+            target = target[name]
+        target[key] = value
         config_path.write_text(json.dumps(config), encoding="utf-8")
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
+        assert not out.exists()
+
+    def test_negative_seed_override_exit_2(self, sim_setup, capsys):
+        _, config_path, tmp_path = sim_setup
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(config_path), "--out", str(out), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
         assert not out.exists()
 
     def test_integral_float_seeds_and_budgets_run(self, sim_setup):
@@ -425,6 +477,15 @@ class TestNaurc:
         self.write_curve(late, [(50, 1.0), (60, 2.0)])
         assert main(["naurc", "--curves", str(late), "--budget", "10"]) == 0
         assert "late,10.0,error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("budget", ["inf", "nan", "-inf"])
+    def test_non_finite_budget_exit_2(self, tmp_path, capsys, budget):
+        # Refused before any curve is read: the curve file does not exist.
+        assert main(["naurc", "--curves", str(tmp_path / "absent.csv"), f"--budget={budget}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --budget must be a finite number")
+        assert captured.err.count("\n") == 1
 
     def test_colliding_stems_qualified_by_directory(self, tmp_path, capsys):
         for sub, level in (("a", 1.0), ("b", 2.0)):

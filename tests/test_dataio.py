@@ -222,6 +222,59 @@ class TestLoadErrors:
         with pytest.raises(DatasetError, match=message):
             load_dataset(manifest)
 
+    @pytest.mark.parametrize(
+        "mangle, message",
+        [
+            (lambda h: h["views"][0].update({"lambda": float("nan")}), "view 'v': lambda must be finite"),
+            (lambda h: h["views"][0].update({"lambda": float("inf")}), "view 'v': lambda must be finite"),
+            (lambda h: h["camera"].update({"fx": float("inf")}), "camera: focal lengths must be finite"),
+            (lambda h: h["camera"].update({"fy": float("nan")}), "camera: focal lengths must be finite"),
+        ],
+        ids=["lambda_nan", "lambda_inf", "fx_inf", "fy_nan"],
+    )
+    def test_non_finite_weight_or_focal_length_refused(self, tmp_path, mangle, message):
+        write_blob(tmp_path / "v.alf", [[1.0, 2.0]])
+        header = self._header({"v": "v.alf"})
+        mangle(header)
+        manifest = self._write_manifest(tmp_path, [header, self._instance(0)])
+        with pytest.raises(DatasetError, match=message):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize(
+        "line, key, value, message",
+        [
+            (1, "instance_id", 1.7, "manifest.jsonl:2: malformed instance line"),
+            (1, "class_id", 0.9, "manifest.jsonl:2: malformed instance line"),
+            (1, "class_id", True, "manifest.jsonl:2: malformed instance line"),
+            (2, "gt_id", "3", "manifest.jsonl:3: malformed gt line"),
+            (2, "class_id", False, "manifest.jsonl:3: malformed gt line"),
+        ],
+        ids=["instance_id-1.7", "class_id-0.9", "class_id-true", "gt_id-string", "gt_class_id-false"],
+    )
+    def test_non_integral_ids_refused(self, tmp_path, line, key, value, message):
+        write_blob(tmp_path / "v.alf", [[1.0, 2.0]])
+        gt = {"kind": "gt", "gt_id": 3, "image_id": "img0", "class_id": 0, "center2d": [10.0, 10.0],
+              "depth": 10.0, "pixel_height": 40.0}
+        lines = [self._header({"v": "v.alf"}), self._instance(0), gt]
+        lines[line][key] = value
+        with pytest.raises(DatasetError, match=message):
+            load_dataset(self._write_manifest(tmp_path, lines))
+
+    def test_fractional_dim_refused(self, tmp_path):
+        write_blob(tmp_path / "v.alf", [[1.0, 2.0]])
+        manifest = self._write_manifest(tmp_path, [self._header({"v": "v.alf"}, dim=2.9), self._instance(0)])
+        with pytest.raises(DatasetError, match="manifest.jsonl: malformed header line"):
+            load_dataset(manifest)
+
+    def test_integral_floats_load_as_ints(self, tmp_path):
+        write_blob(tmp_path / "v.alf", [[1.0, 2.0]])
+        instance = dict(self._instance(0), instance_id=4.0, class_id=2.0)
+        manifest = self._write_manifest(tmp_path, [self._header({"v": "v.alf"}, dim=2.0), instance])
+        data = load_dataset(manifest)
+        r = data.instances[0]
+        assert (r.instance_id, r.class_id, data.views[0].dim) == (4, 2, 2)
+        assert type(r.instance_id) is int and type(r.class_id) is int and type(data.views[0].dim) is int
+
     def test_non_utf8_manifest_names_path_and_line(self, tmp_path):
         manifest = self._write_manifest(tmp_path, [self._header({"v": "v.alf"})])
         manifest.write_bytes(manifest.read_bytes() + b'{"kind": "gt", "image_id": "\xff"}\n')

@@ -197,6 +197,11 @@ class TestEmbedding:
         with pytest.raises(ValueError, match="negative"):
             FusedCosineMetric((ViewSpec("a", 2, 0.5), ViewSpec("b", 2, lam)))
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_weight_refused(self, lam):
+        with pytest.raises(ValueError, match=r"finite and >= 0; negative or non-finite for \['b'\]"):
+            FusedCosineMetric((ViewSpec("a", 2, 0.5), ViewSpec("b", 2, lam)))
+
 
 class TestPca:
     def test_line_in_3d_needs_one_component(self, rng):

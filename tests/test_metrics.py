@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -73,6 +74,14 @@ class TestNaurc:
         curve = Curve.from_pairs([(0, 0), (10, 10)])
         with pytest.raises(ValueError, match="must exceed"):
             naurc(curve, 0)
+
+    @pytest.mark.parametrize("budget", [math.inf, math.nan, -math.inf])
+    def test_non_finite_budget_rejected(self, budget):
+        curve = Curve.from_pairs([(0, 0), (10, 10)])
+        with pytest.raises(ValueError, match="budget must be finite"):
+            naurc(curve, budget)
+        with pytest.raises(ValueError, match="budget must be finite"):
+            interpolate_at_budget(curve, budget)
 
     def test_collinear_point_invariance(self, rng):
         for _ in range(100):

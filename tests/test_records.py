@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from alsim.records import ViewSpec, validate_dataset
+from alsim.records import CameraModel, ViewSpec, validate_dataset
 
 from conftest import build_dataset, make_gt, make_record
 
@@ -77,6 +77,22 @@ class TestValidateDataset:
         violations = validate_dataset(data)
         assert len(violations) == 1
         assert tag in violations[0] and field in violations[0] and "finite" in violations[0]
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda_flagged(self, lam):
+        views = (VIEWS[0], ViewSpec("b", 3, lam))
+        violations = validate_dataset(build_dataset([two_view_record(0)], [], views=views))
+        assert len(violations) == 1
+        assert "view 'b'" in violations[0] and "lambda must be finite" in violations[0]
+
+    @pytest.mark.parametrize(
+        "fx, fy", [(float("inf"), 100.0), (100.0, float("nan")), (float("-inf"), 100.0), (0.0, 100.0)]
+    )
+    def test_focal_lengths_must_be_finite_and_positive(self, fx, fy):
+        data = build_dataset([two_view_record(0)], [], views=VIEWS, camera=CameraModel(fx, fy))
+        violations = validate_dataset(data)
+        assert len(violations) == 1
+        assert violations[0].startswith("camera: focal lengths must be finite and > 0")
 
 
 class TestDatasetHelpers:

@@ -301,6 +301,10 @@ class TestStrategyConfig:
         pool = [make_record(0, features={"v": [1.0]}, confidence=None, pred_depth=None)]
         validate_strategy_setup(StrategyConfig(kind="coreset", views=views), pool)
 
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            StrategyConfig(kind="random", seed=-1)
+
 
 class TestRankPool:
     def test_outputs_are_distinct_pool_members(self, rng):

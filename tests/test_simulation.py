@@ -26,7 +26,6 @@ from alsim.simulation import (
     generate_synthetic,
     run_campaign,
     run_round,
-    sample_bagged_labels,
     sample_loss_weights,
 )
 
@@ -104,22 +103,77 @@ class TestSampleLossWeights:
             sample_loss_weights(self.TASKS, 1.0, seed=0)
 
 
-class TestSampleBaggedLabels:
-    def test_size_at_t0(self):
-        subset = sample_bagged_labels(range(10), 0.0, 3.0, seed=0)
-        assert len(subset) == 9
-        assert subset <= set(range(10))
+class TestBagCount:
+    """``RoundLog.bagged_label_count`` is the size of the bag a detector
+    would train on: round(train_fraction * n) of the n labeled objects
+    after the round, at least 1 and at most n, and 0 with no labels."""
+
+    # Per round of the crowded campaigns in ``tests/test_golden.py``:
+    # (charged, matched, suppressed) and the bag count, recorded from the
+    # bag sampler before the count was computed directly.
+    CROWDED = {
+        ("coreset", 0): (
+            "8/7/0 8/2/3 8/6/9 8/5/11 8/5/15 8/6/20 8/3/23 8/4/30 8/1/33 8/1/48 8/3/56 8/2/66",
+            (17, 18, 21, 24, 26, 29, 30, 32, 32, 33, 34, 35),
+        ),
+        ("coreset", 1): (
+            "8/4/1 8/7/5 8/4/6 8/3/11 8/6/18 8/2/18 8/4/27 8/5/30 8/2/33 8/2/41 8/2/49 8/4/57",
+            (16, 19, 21, 23, 25, 26, 28, 30, 31, 32, 33, 35),
+        ),
+        ("random", 0): (
+            "8/5/0 8/5/2 8/6/0 8/8/0 8/4/2 8/4/3 8/3/1 8/4/6 8/5/8 8/3/3 8/2/10 8/1/10",
+            (16, 19, 22, 25, 27, 29, 30, 32, 34, 36, 37, 37),
+        ),
+        ("random", 1): (
+            "8/3/0 8/5/0 8/7/4 8/5/2 8/5/1 8/3/1 8/6/0 8/6/7 8/2/5 8/1/3 8/2/4 8/3/12",
+            (15, 18, 21, 24, 26, 27, 30, 33, 33, 34, 35, 36),
+        ),
+    }
+
+    @pytest.mark.parametrize("kind,seed", sorted(CROWDED), ids=lambda v: str(v))
+    def test_crowded_campaign_counts_pinned(self, kind, seed):
+        data = generate_synthetic(SyntheticSpec(4, 60), seed=seed)
+        data = replace(data, ground_truth=data.ground_truth[::3])
+        cfg = CampaignConfig(
+            strategy=StrategyConfig(kind=kind, views=data.views if kind == "coreset" else (), seed=seed),
+            round_budgets=tuple(range(8, 97, 8)),
+        )
+        _, state = run_campaign(cfg, data, lambda labeled, pool: 0.0)
+        tallies, bags = self.CROWDED[kind, seed]
+        assert " ".join(f"{log.charged}/{log.matched}/{log.suppressed}" for log in state.history) == tallies
+        assert tuple(log.bagged_label_count for log in state.history) == bags
+
+    def _one_image(self, gt_centers):
+        instances = [make_record(0, center=(50.0, 50.0), pred_depth=10.0, size=(30, 40))]
+        gts = [make_gt(100 + i, center=c, pixel_height=60.0) for i, c in enumerate(gt_centers)]
+        return build_dataset(instances, gts)
+
+    def test_no_labels_gives_zero(self):
+        data = self._one_image([(500.0, 50.0)])
+        _, log = run_round(fresh_state(), data, round_config((1,)), list(data.instances))
+        assert [ev.outcome for ev in log.events] == ["null"]
+        assert log.bagged_label_count == 0
+
+    def test_single_label_gives_one(self):
+        data = self._one_image([(50.0, 50.0), (500.0, 50.0)])
+        _, log = run_round(fresh_state(), data, round_config((1,)), list(data.instances))
+        assert [ev.outcome for ev in log.events] == ["matched"]
+        assert log.bagged_label_count == 1
+
+    def test_size_near_t0(self):
+        # 10 labeled of 1000 objects: t = 0.01, fraction 0.888, bag 9 of 10
+        data = self._one_image([(500.0, 50.0 + i) for i in range(1000)])
+        state = replace(fresh_state(), labeled_gt=frozenset(range(100, 110)))
+        _, log = run_round(state, data, round_config((1,)), list(data.instances))
+        assert log.bagged_label_count == 9
 
     def test_floor_at_one(self):
-        assert len(sample_bagged_labels([42], 1.0, 30.0, seed=0)) == 1
-
-    def test_empty_input(self):
-        assert sample_bagged_labels([], 0.5, 3.0, seed=0) == set()
-
-    def test_reproducible(self):
-        a = sample_bagged_labels(range(100), 0.4, 3.0, seed=9)
-        b = sample_bagged_labels(range(100), 0.4, 3.0, seed=9)
-        assert a == b
+        # exp(-alpha * t) underflows: fraction is exactly 0.5, and
+        # round(0.5 * 1) = 0 is floored to one label
+        data = self._one_image([(50.0, 50.0)])
+        _, log = run_round(fresh_state(), data, round_config((1,), alpha=1000.0), list(data.instances))
+        assert log.train_fraction == 0.5
+        assert log.bagged_label_count == 1
 
 
 def fresh_state(seed=0):
