@@ -18,6 +18,7 @@ from .geometry import (
     suppress_duplicate,
 )
 from .features import (
+    Coverage,
     FusedCosineMetric,
     PcaModel,
     cosine_distance,

@@ -39,6 +39,7 @@ from .records import (
     GroundTruthObject,
     InstanceRecord,
     ViewSpec,
+    _real,
     _whole,
     validate_dataset,
 )
@@ -83,7 +84,7 @@ def read_blob(path) -> np.ndarray:
 def _parse_views(header: dict) -> tuple[ViewSpec, ...]:
     views = []
     for entry in header.get("views", []):
-        views.append(ViewSpec(name=str(entry["name"]), dim=_whole(entry["dim"]), lam=float(entry["lambda"])))
+        views.append(ViewSpec(name=str(entry["name"]), dim=_whole(entry["dim"]), lam=_real(entry["lambda"])))
     return tuple(views)
 
 
@@ -94,11 +95,11 @@ def _parse_instance(obj: dict, inline: dict[str, tuple[array, list[int]]]) -> In
         image_id=str(obj["image_id"]),
         instance_id=_whole(obj["instance_id"]),
         class_id=_whole(obj["class_id"]),
-        box2d=Box2D(float(box["cx"]), float(box["cy"]), float(box["w"]), float(box["h"])),
+        box2d=Box2D(_real(box["cx"]), _real(box["cy"]), _real(box["w"]), _real(box["h"])),
         features={},
-        pred_depth=None if obj.get("pred_depth") is None else float(obj["pred_depth"]),
-        confidence=None if obj.get("confidence") is None else float(obj["confidence"]),
-        aux_depths=None if aux is None else tuple(float(x) for x in aux),
+        pred_depth=None if obj.get("pred_depth") is None else _real(obj["pred_depth"]),
+        confidence=None if obj.get("confidence") is None else _real(obj["confidence"]),
+        aux_depths=None if aux is None else tuple(map(_real, aux)),
     )
     for name, vec in obj.get("features", {}).items():
         flat, lengths = inline[name]
@@ -113,9 +114,9 @@ def _parse_gt(obj: dict) -> GroundTruthObject:
         gt_id=_whole(obj["gt_id"]),
         image_id=str(obj["image_id"]),
         class_id=_whole(obj["class_id"]),
-        center2d=(float(cx), float(cy)),
-        depth=float(obj["depth"]),
-        pixel_height=float(obj["pixel_height"]),
+        center2d=(_real(cx), _real(cy)),
+        depth=_real(obj["depth"]),
+        pixel_height=_real(obj["pixel_height"]),
     )
 
 
@@ -201,8 +202,8 @@ def _assemble(path: Path, header: dict, instances, gts, view_matrix) -> Dataset:
     try:
         views = _parse_views(header)
         cam = header.get("camera", {})
-        camera = CameraModel(f_x=float(cam["fx"]), f_y=float(cam["fy"]))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        camera = CameraModel(f_x=_real(cam["fx"]), f_y=_real(cam["fy"]))
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DatasetError(f"{path}: malformed header line ({exc!r})") from exc
 
     feature_rows: dict[str, np.ndarray] = {}

@@ -8,14 +8,14 @@ zero) and Lambda = sum_v lam_v,
 
 where E concatenates the blocks sqrt(lam_v) * a_v, so ``FusedCosineMetric``
 embeds records once and takes distances as one matrix product. Views can
-optionally be PCA-compressed before distances are taken.
+optionally be PCA-compressed before they are embedded.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +27,7 @@ __all__ = [
     "fused_distance",
     "FusedCosineMetric",
     "fold_min_distances",
+    "Coverage",
     "PcaModel",
     "pca_fit",
     "pca_transform",
@@ -97,9 +98,15 @@ class FusedCosineMetric:
     def embed(self, records: Sequence[InstanceRecord]) -> np.ndarray:
         """One row per record: each view's unit vector (zero stays zero)
         times sqrt(lam_v), concatenated; shape (len(records), sum of dims)."""
+        return self.embed_views(
+            [np.array([r.features[v.name] for r in records], dtype=np.float64).reshape(len(records), v.dim)
+             for v in self.views]
+        )
+
+    def embed_views(self, matrices: Sequence[np.ndarray]) -> np.ndarray:
+        """``embed`` of one matrix per view, in ``views`` order, of any width (PCA)."""
         blocks = []
-        for v in self.views:
-            X = np.array([r.features[v.name] for r in records], dtype=np.float64).reshape(len(records), v.dim)
+        for v, X in zip(self.views, matrices, strict=True):
             norms = np.linalg.norm(X, axis=1, keepdims=True)
             blocks.append(np.sqrt(v.lam) * (X / np.where(norms == 0.0, 1.0, norms)))
         return np.hstack(blocks)
@@ -131,6 +138,26 @@ def fold_min_distances(metric, E: np.ndarray, R: np.ndarray, mins: np.ndarray) -
     for start in range(0, len(R), FOLD_BLOCK):
         np.minimum(mins, metric.between(E, R[start : start + FOLD_BLOCK]).min(axis=1), out=mins)
     return mins
+
+
+class Coverage:
+    """Greedy k-center state: ``E``, one row per record (``metric.embed``
+    unless given), and ``mins``, each row's minimum distance to the
+    ``folded`` records (inf before any fold). Rows are keyed by the record:
+    records are eq=False, so they hash by identity."""
+
+    def __init__(self, metric, records: Sequence[InstanceRecord], E: np.ndarray | None = None):
+        self.metric = metric
+        self.row_of = {r: i for i, r in enumerate(records)}
+        self.E = metric.embed(records) if E is None else E
+        self.mins = np.full(len(self.E), np.inf)
+        self.folded: set[InstanceRecord] = set()
+
+    def fold(self, records: Sequence[InstanceRecord]) -> np.ndarray:
+        """Fold the embedded ``records`` not folded yet, in order; return ``mins``."""
+        new = [r for r in records if r not in self.folded]
+        self.folded.update(new)
+        return fold_min_distances(self.metric, self.E, self.E[[self.row_of[r] for r in new]], self.mins)
 
 
 @dataclass(frozen=True)
@@ -205,22 +232,13 @@ def pca_transform(m: PcaModel, X) -> np.ndarray:
 
 def compress_views(
     records: Sequence[InstanceRecord], views: Sequence[ViewSpec], var_keep: float
-) -> list[InstanceRecord]:
+) -> list[np.ndarray]:
     """PCA-compress each view over all given records jointly.
 
-    Fits one model per view on the stacked feature matrix of ``records``,
-    projects that matrix in one call and returns copies of the records
-    carrying the compressed vectors. Distances taken afterwards live in
-    the compressed space.
+    Fits one model per view on the stacked feature matrix of ``records``
+    and returns that matrix projected, one (len(records), k_v) matrix per
+    view in ``views`` order, ready for ``FusedCosineMetric.embed_views``.
+    Each view keeps as many components as its variance cutoff needs.
     """
-    projected = {}
-    for v in views:
-        X = np.stack([r.features[v.name] for r in records])
-        projected[v.name] = pca_transform(pca_fit(X, var_keep), X)
-    out = []
-    for i, r in enumerate(records):
-        feats = dict(r.features)
-        for name, Z in projected.items():
-            feats[name] = Z[i]
-        out.append(replace(r, features=feats))
-    return out
+    matrices = [np.stack([r.features[v.name] for r in records]) for v in views]
+    return [pca_transform(pca_fit(X, var_keep), X) for X in matrices]

@@ -128,6 +128,17 @@ def _whole(value) -> int:
     raise ValueError(f"expected a whole number, got {value!r}")
 
 
+def _real(value) -> float:
+    """A JSON number as a float; a boolean, a string or anything else
+    raises ValueError. Plain type tests only: parsers call this per field
+    of every line."""
+    if type(value) is float:
+        return value
+    if type(value) is int:
+        return float(value)
+    raise ValueError(f"expected a number, got {value!r}")
+
+
 def validate_dataset(d: Dataset) -> list[str]:
     """Check every type invariant and return the list of violations.
 

@@ -20,16 +20,11 @@ kind               score (higher ranks earlier)        eligible records         
 The diversity kinds (``coreset``, ``coreset_box3d``, ``ideal``) run
 greedy k-center (farthest-point) selection in a fused feature metric:
 repeatedly pick the pool instance with the largest minimum distance to
-the reference set, then fold the pick into the reference set. An
-incremental per-candidate min-distance cache makes a k-pick batch cost
-O(k * |pool|) distance evaluations instead of recomputing every
-candidate-reference pair each step. The other kinds score their eligible
-records once and sort once.
-
-A metric is any object with ``embed(records)`` (one row per record) and
-``between(A, B)`` (the distance matrix between rows of two embeddings),
-such as ``FusedCosineMetric``. Greedy selection embeds the pool and the
-labeled set once, so each pick costs one matrix-vector product.
+the reference set, then fold the pick into the reference set. The pick
+loop starts from the pool's rows of a ``features.Coverage`` (embedded
+instances and their min distances to the labeled set), so a k-pick batch
+costs O(k * |pool|) distance evaluations and embeds nothing. The other
+kinds score their eligible records once and sort once.
 """
 
 from __future__ import annotations
@@ -41,7 +36,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .features import fold_min_distances
+from .features import Coverage, fold_min_distances
 from .records import InstanceRecord, ViewSpec
 
 __all__ = [
@@ -104,6 +99,24 @@ class StrategyConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
+def _farthest_first(coverage: Coverage, pool: Sequence[InstanceRecord]) -> Iterator[tuple[InstanceRecord, float]]:
+    """The greedy pick loop on a copy of ``pool``'s rows of ``coverage``: a
+    pick's entry is set to -inf, so it never wins again, and its row is
+    folded into the copied ``mins``."""
+    if not coverage.folded:
+        raise ValueError("labeled set must be nonempty")
+    rows = [coverage.row_of[r] for r in pool]
+    ids = np.array([r.instance_id for r in pool], dtype=np.int64)
+    E, mins = coverage.E[rows], coverage.mins[rows]
+
+    for _ in range(len(pool)):
+        tie = np.flatnonzero(mins == mins.max())
+        pick = int(tie[np.argmin(ids[tie])])
+        yield pool[pick], float(mins[pick])
+        mins[pick] = -np.inf
+        fold_min_distances(coverage.metric, E, E[pick : pick + 1], mins)
+
+
 def iter_coreset_picks(
     pool: Sequence[InstanceRecord],
     labeled: Sequence[InstanceRecord],
@@ -111,29 +124,15 @@ def iter_coreset_picks(
 ) -> Iterator[tuple[InstanceRecord, float]]:
     """Yield pool instances in greedy farthest-first order with their scores.
 
-    The yielded score is the instance's minimum distance to the reference
-    set at pick time (labeled set plus earlier picks). Ties resolve to the
-    lowest instance_id. The whole state is the embedded pool ``E`` and
-    ``mins``, each row's minimum distance to the reference set: a pick's
-    entry is set to -inf, so it never wins again, and its row is folded
-    into ``mins`` with ``fold_min_distances``. A full traversal costs
-    O(|pool|^2) distance evaluations and a k-pick prefix O(k * |pool|).
+    The from-scratch reference: ``rank_pool``'s pick loop on a fresh
+    ``Coverage`` of pool + labeled. Each score is the instance's minimum
+    distance to the labeled set plus earlier picks; ties go to the lowest
+    instance_id. A full traversal costs O(|pool|^2) distance evaluations
+    and a k-pick prefix O(k * |pool|).
     """
-    if not len(labeled):
-        raise ValueError("labeled set must be nonempty")
-    if not len(pool):
-        return
-
-    ids = np.array([r.instance_id for r in pool], dtype=np.int64)
-    E = dist.embed(pool)
-    mins = fold_min_distances(dist, E, dist.embed(labeled), np.full(len(pool), np.inf))
-
-    for _ in range(len(pool)):
-        tie = np.flatnonzero(mins == mins.max())
-        pick = int(tie[np.argmin(ids[tie])])
-        yield pool[pick], float(mins[pick])
-        mins[pick] = -np.inf
-        fold_min_distances(dist, E, E[pick : pick + 1], mins)
+    coverage = Coverage(dist, [*pool, *labeled])
+    coverage.fold(labeled)
+    return _farthest_first(coverage, pool)
 
 
 def coreset_select(
@@ -245,23 +244,23 @@ _RANKERS = {
 def rank_pool(
     pool: Sequence[InstanceRecord],
     cfg: StrategyConfig,
-    labeled: Sequence[InstanceRecord] | None = None,
-    metric=None,
+    coverage: Coverage | None = None,
     seed: int | None = None,
 ) -> Iterator[tuple[InstanceRecord, float]]:
     """Yield (record, score) pairs best-first under the given strategy.
 
-    Greedy-diversity kinds rank lazily so callers can stop as soon as a
-    round budget is filled; the remaining kinds score their eligible
-    records once and sort by descending score, ties to the lowest
-    instance_id. ``seed`` overrides the config seed for per-round
+    Greedy-diversity kinds rank lazily from ``coverage`` (covering the
+    pool, with the labeled set folded in; left unchanged) so callers can
+    stop as soon as a round budget is filled; the remaining kinds score
+    their eligible records once and sort by descending score, ties to the
+    lowest instance_id. ``seed`` overrides the config seed for per-round
     randomness.
     """
     validate_strategy_setup(cfg, pool)
     if cfg.kind in CORESET_KINDS:
-        if labeled is None or metric is None:
-            raise ValueError(f"strategy {cfg.kind!r} needs a labeled set and a metric")
-        yield from iter_coreset_picks(pool, labeled, metric)
+        if coverage is None:
+            raise ValueError(f"strategy {cfg.kind!r} needs a coverage of the labeled set")
+        yield from _farthest_first(coverage, pool)
         return
 
     eligible, score = _RANKERS[cfg.kind]

@@ -5,7 +5,7 @@ selection rounds against a ground-truth oracle. Every issued request is
 charged against the round's cumulative budget whether or not it matches
 an object; near-duplicate requests are skipped without charge. Matched
 objects move to the labeled set and their requesting instances join the
-strategy's reference set for later rounds.
+strategy's reference set, one ``features.Coverage`` per campaign.
 
 The module also carries the training-side schedules of the simulated
 detector ensemble (time-decayed label bagging and loss-weight
@@ -16,12 +16,12 @@ no bag is drawn.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .features import FusedCosineMetric, compress_views, fold_min_distances
+from .features import Coverage, FusedCosineMetric, compress_views
 from .geometry import match_request, suppress_duplicate
 from .metrics import Curve, CurvePoint
 from .records import Box2D, CameraModel, Dataset, GroundTruthObject, InstanceRecord, ViewSpec, _whole
@@ -195,20 +195,33 @@ def _split(
     return labeled, pool
 
 
+def _coverage(cfg: CampaignConfig, data: Dataset, labeled: Sequence[InstanceRecord]) -> Coverage:
+    """The greedy strategy's coverage of ``data.instances``, PCA-compressed
+    if ``pca_var_keep`` is set, with ``labeled`` folded in."""
+    metric = FusedCosineMetric(cfg.strategy.views)
+    E = None
+    if cfg.pca_var_keep is not None:
+        E = metric.embed_views(compress_views(data.instances, cfg.strategy.views, cfg.pca_var_keep))
+    coverage = Coverage(metric, data.instances, E)
+    coverage.fold(labeled)
+    return coverage
+
+
 def run_round(
     state: RoundState,
     data: Dataset,
     cfg: CampaignConfig,
     pool: Sequence[InstanceRecord],
+    coverage: Coverage | None = None,
 ) -> tuple[RoundState, RoundLog]:
     """Run one selection round up to its cumulative budget target.
 
-    The strategy ranks ``pool`` as given; greedy kinds measure distance to
-    the labeled records of ``data``. No PCA is fit here: ``run_campaign``
-    fits it once per campaign and passes the compressed copies. Requests
-    are issued in rank order. A request within 95% of the labeling radius
-    of an earlier same-class request in the same image is suppressed
-    without charge. Every other request is charged, matched or not;
+    The strategy ranks ``pool`` (records of ``data``) as given; greedy
+    kinds rank from ``coverage``, which is left unchanged, or from one
+    built from ``state``'s labels when it is not given. Requests are
+    issued in rank order. A request within 95% of the labeling radius of
+    an earlier same-class request in the same image is suppressed without
+    charge. Every other request is charged, matched or not;
     matched ground truth moves to the labeled set. The round stops once
     the cumulative requested total reaches this round's budget target or
     the ranking is exhausted. Earlier rounds are read from ``state``'s
@@ -217,12 +230,9 @@ def run_round(
     and ledger are read off those events.
 
     Raises:
-        ValueError: if ``cfg.pca_var_keep`` is set, if the budget target
-            lies below the current total, or if a requested instance
-            lacks the predicted depth the oracle window needs.
+        ValueError: if the budget target lies below the current total, or
+            if a requested instance lacks the depth the oracle window needs.
     """
-    if cfg.pca_var_keep is not None:
-        raise ValueError(f"pca_var_keep must be None: run_round fits no PCA, got {cfg.pca_var_keep}")
     if state.round_index >= len(cfg.round_budgets):
         raise ValueError(f"no budget configured for round {state.round_index}")
     target = cfg.round_budgets[state.round_index]
@@ -230,11 +240,8 @@ def run_round(
         raise ValueError(
             f"budget target {target} below already requested {state.requested_total}"
         )
-
-    labeled = metric = None
-    if cfg.strategy.kind in CORESET_KINDS:
-        labeled = _split(state, data.instances)[0]
-        metric = FusedCosineMetric(cfg.strategy.views)
+    if cfg.strategy.kind in CORESET_KINDS and coverage is None:
+        coverage = _coverage(cfg, data, _split(state, data.instances)[0])
 
     # Per image, the (center, class) of every request charged so far.
     priors: dict[str, list] = {}
@@ -251,7 +258,7 @@ def run_round(
     charged = 0
     round_seed = _round_seed(state.rng_seed, state.round_index, 1)
 
-    ranking = rank_pool(pool, cfg.strategy, labeled=labeled, metric=metric, seed=round_seed)
+    ranking = rank_pool(pool, cfg.strategy, coverage=coverage, seed=round_seed)
     for record, _score in ranking:
         if state.requested_total + charged >= target:
             break
@@ -334,12 +341,9 @@ def run_campaign(
     fused-metric covering radius rather than a detector score. The hook
     always sees the dataset's own records, in dataset order.
 
-    ``run_campaign`` is the only place PCA is fit: with ``pca_var_keep``
-    set for a greedy kind, it compresses the strategy's views once per
-    campaign over every instance of ``data`` (labeled + pool is always the
-    whole export), and every round ranks on that compressed copy.
-    ``run_round`` ranks what it is given, so each round gets a config with
-    ``pca_var_keep=None``.
+    A greedy campaign embeds (and PCA-compresses) ``data.instances`` once,
+    into one coverage that every round ranks from and that folds in each
+    round's new labels.
     """
     validate_strategy_setup(cfg.strategy, list(data.instances))
     missing_depth = [r.instance_id for r in data.instances if r.pred_depth is None]
@@ -366,26 +370,18 @@ def run_campaign(
     labeled, pool = _split(state, data.instances)
     points = [CurvePoint(0.0, float(performance_hook(labeled, pool)))]
 
-    # The rounds rank ``ranked``: ``data`` itself, or its records with the
-    # strategy's views PCA-compressed once, in the same order, so one split
-    # of ``data`` serves the hook and the rounds.
-    ranked, round_cfg = data, replace(cfg, pca_var_keep=None)
-    if pool and cfg.round_budgets and cfg.pca_var_keep is not None and cfg.strategy.kind in CORESET_KINDS:
-        compressed = compress_views(data.instances, cfg.strategy.views, cfg.pca_var_keep)
-        # Each view keeps as many components as its variance cutoff needs,
-        # and ``embed`` reads the dims from the views.
-        views = tuple(replace(v, dim=compressed[0].features[v.name].shape[0]) for v in cfg.strategy.views)
-        ranked = replace(data, instances=tuple(compressed))
-        round_cfg = replace(round_cfg, strategy=replace(cfg.strategy, views=views))
-    as_ranked = dict(zip(data.instances, ranked.instances))
+    greedy = pool and cfg.round_budgets and cfg.strategy.kind in CORESET_KINDS
+    coverage = _coverage(cfg, data, labeled) if greedy else None
 
     for _ in cfg.round_budgets:
         if not pool:
             break
-        state, log = run_round(state, ranked, round_cfg, [as_ranked[r] for r in pool])
+        state, log = run_round(state, data, cfg, pool, coverage)
         if log.charged == 0:
             break
         labeled, pool = _split(state, data.instances)
+        if coverage is not None:
+            coverage.fold(labeled)
         points.append(CurvePoint(float(state.requested_total), float(performance_hook(labeled, pool))))
 
     return Curve(tuple(points)), state
@@ -403,37 +399,26 @@ def covering_radius(
     """
     if not len(labeled):
         return math.inf
-    E = metric.embed(list(labeled) + list(pool))
-    return float(fold_min_distances(metric, E, E[: len(labeled)], np.full(len(E), np.inf)).max())
+    return float(Coverage(metric, [*labeled, *pool]).fold(labeled).max())
 
 
+@dataclass
 class _CoveringRadiusHook:
-    """State of ``covering_radius_hook``: the embedded records ``E``, each
-    row's minimum distance ``mins`` to the folded rows, and the labeled
-    records folded so far. Rows are keyed by the record itself: records
-    are eq=False, so they hash by identity, and the keys keep them alive."""
+    """State of ``covering_radius_hook``: the ``Coverage`` of the last
+    labeled + pool records it was called with."""
 
-    def __init__(self, metric):
-        self.metric = metric
-        self.row_of: dict[InstanceRecord, int] = {}
-        self.folded: set[InstanceRecord] = set()
-        self.E = self.mins = None
+    metric: object
+    coverage: Coverage | None = None
 
     def __call__(self, labeled, pool) -> float:
         if not len(labeled):
             return math.inf
         records = [*labeled, *pool]
-        now_labeled = set(labeled)
-        if self.row_of.keys() != set(records) or not self.folded <= now_labeled:
-            self.row_of = {r: i for i, r in enumerate(records)}
-            self.folded = set()
-            self.E = self.metric.embed(records)
-            self.mins = np.full(len(records), np.inf)
+        c = self.coverage
+        if c is None or c.row_of.keys() != set(records) or not c.folded <= set(labeled):
+            c = self.coverage = Coverage(self.metric, records)
         # In ``labeled``'s order, so reruns fold the same blocks.
-        new = [self.row_of[r] for r in labeled if r not in self.folded]
-        fold_min_distances(self.metric, self.E, self.E[new], self.mins)
-        self.folded = now_labeled
-        return float(self.mins.max())
+        return float(c.fold(labeled).max())
 
 
 def covering_radius_hook(metric) -> PerformanceHook:
@@ -441,15 +426,11 @@ def covering_radius_hook(metric) -> PerformanceHook:
 
     Equal to ``covering_radius`` on every call (up to rounding in the last
     bits), but incremental: the first call embeds the instance set
-    (labeled + pool) once, and while later calls pass the same set of
-    records with a labeled set that only grew, only the newly labeled
-    rows are folded into each instance's minimum distance, in
-    ``labeled``'s order and in blocks of ``FOLD_BLOCK`` rows, so no call
-    holds more than N x FOLD_BLOCK distances. A call whose labeled + pool
-    is not exactly the embedded set of records, or whose labeled set
-    lacks a record folded before, starts over. Records are matched by
-    identity, so a second dataset with the same instance ids is a
-    different set.
+    (labeled + pool) into a ``Coverage``, and while later calls pass the
+    same set of records (matched by identity) with a labeled set that only
+    grew, only the newly labeled rows are folded in, in ``labeled``'s
+    order. Any other call starts over. The hook does not share a greedy
+    strategy's coverage, whose metric may differ.
     """
     return _CoveringRadiusHook(metric)
 

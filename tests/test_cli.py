@@ -155,6 +155,28 @@ class TestIngest:
         assert capsys.readouterr().err.startswith(f"error: {raw}{message}")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "line, key, value, message",
+        [
+            (1, "pred_depth", "12", ":2: malformed instance line"),
+            (2, "confidence", True, ":3: malformed instance line"),
+            (3, "box2d", {"cx": 12.0, "cy": 10.0, "w": 5.0, "h": True}, ":4: malformed instance line"),
+            (4, "depth", "12.5", ":5: malformed gt line"),
+            (4, "pixel_height", False, ":5: malformed gt line"),
+            (0, "camera", {"fx": "100", "fy": 100.0}, ": malformed header line"),
+        ],
+        ids=["pred_depth-string", "confidence-true", "box2d_h-true", "depth-string", "pixel_height-false",
+             "fx-string"],
+    )
+    def test_non_numeric_values_exit_1(self, tmp_path, capsys, line, key, value, message):
+        lines = raw_lines()
+        lines[line][key] = value
+        raw = tmp_path / "raw.jsonl"
+        write_raw(raw, lines)
+        assert main(["ingest", "--input", str(raw), "--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {raw}{message}")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("features", [{}, {"v": [1.0, 2.0, 3.0]}])
     def test_missing_or_misshapen_inline_view_rejected(self, tmp_path, capsys, features):
         lines = raw_lines()

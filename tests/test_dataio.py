@@ -260,6 +260,43 @@ class TestLoadErrors:
         with pytest.raises(DatasetError, match=message):
             load_dataset(self._write_manifest(tmp_path, lines))
 
+    @pytest.mark.parametrize(
+        "mangle, message",
+        [
+            (lambda ls: ls[1].update(pred_depth="12"), "manifest.jsonl:2: malformed instance line"),
+            (lambda ls: ls[1].update(confidence=True), "manifest.jsonl:2: malformed instance line"),
+            (lambda ls: ls[1]["box2d"].update(h=True), "manifest.jsonl:2: malformed instance line"),
+            (lambda ls: ls[1].update(aux_depths=["9.5"]), "manifest.jsonl:2: malformed instance line"),
+            (lambda ls: ls[1].update(aux_depths="12"), "manifest.jsonl:2: malformed instance line"),
+            (lambda ls: ls[2].update(depth="12.5"), "manifest.jsonl:3: malformed gt line"),
+            (lambda ls: ls[2].update(pixel_height=False), "manifest.jsonl:3: malformed gt line"),
+            (lambda ls: ls[2].update(center2d=[10.0, "10"]), "manifest.jsonl:3: malformed gt line"),
+            (lambda ls: ls[0]["camera"].update(fx="100"), "manifest.jsonl: malformed header line"),
+            (lambda ls: ls[0]["camera"].update(fy=True), "manifest.jsonl: malformed header line"),
+            (lambda ls: ls[0]["camera"].update(fy=10**400), "manifest.jsonl: malformed header line"),
+            (lambda ls: ls[0]["views"][0].update({"lambda": "1"}), "manifest.jsonl: malformed header line"),
+        ],
+        ids=["pred_depth-string", "confidence-true", "box2d_h-true", "aux_depths-string-item",
+             "aux_depths-string", "depth-string", "pixel_height-false", "center2d-string", "fx-string",
+             "fy-true", "fy-overflow", "lambda-string"],
+    )
+    def test_non_numeric_values_refused(self, tmp_path, mangle, message):
+        write_blob(tmp_path / "v.alf", [[1.0, 2.0]])
+        gt = {"kind": "gt", "gt_id": 3, "image_id": "img0", "class_id": 0, "center2d": [10.0, 10.0],
+              "depth": 10.0, "pixel_height": 40.0}
+        lines = [self._header({"v": "v.alf"}), self._instance(0), gt]
+        mangle(lines)
+        with pytest.raises(DatasetError, match=message):
+            load_dataset(self._write_manifest(tmp_path, lines))
+
+    def test_integral_numbers_load_as_floats(self, tmp_path):
+        write_blob(tmp_path / "v.alf", [[1.0, 2.0]])
+        instance = dict(self._instance(0), pred_depth=12, confidence=1, aux_depths=[9, 11.5])
+        data = load_dataset(self._write_manifest(tmp_path, [self._header({"v": "v.alf"}), instance]))
+        r = data.instances[0]
+        assert (r.pred_depth, r.confidence, r.aux_depths) == (12.0, 1.0, (9.0, 11.5))
+        assert type(r.pred_depth) is float and type(r.aux_depths[0]) is float
+
     def test_fractional_dim_refused(self, tmp_path):
         write_blob(tmp_path / "v.alf", [[1.0, 2.0]])
         manifest = self._write_manifest(tmp_path, [self._header({"v": "v.alf"}, dim=2.9), self._instance(0)])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alsim.features import (
+    Coverage,
     FusedCosineMetric,
     compress_views,
     cosine_distance,
@@ -14,8 +15,9 @@ from alsim.features import (
     pca_transform,
 )
 from alsim.records import ViewSpec
+from alsim.simulation import covering_radius
 
-from conftest import make_record
+from conftest import euclid1d, make_record, scalar_records
 
 
 class TestCosineDistance:
@@ -300,18 +302,84 @@ class TestCompressViews:
         views = (ViewSpec("a", 6, 1.0),)
         records = [make_record(i, features={"a": rng.normal(size=6)}) for i in range(20)]
         compressed = compress_views(records, views, 1.0)
-        assert len(compressed) == len(records)
-        assert compressed[0].features["a"].shape[0] <= 6
+        assert len(compressed) == len(views)
+        assert compressed[0].shape[0] == len(records) and compressed[0].shape[1] <= 6
         # full-variance compression is an isometry, so cosine geometry may
         # change but identity distances stay zero
-        assert fused_distance(compressed[3], compressed[3], views) == pytest.approx(0.0, abs=1e-12)
+        metric = FusedCosineMetric(views)
+        E = metric.embed_views(compressed)
+        assert metric.between(E[3:4], E[3:4])[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_per_record_projection(self, rng):
         views = (ViewSpec("a", 6, 0.5), ViewSpec("b", 4, 0.5))
         records = [make_record(i, features={v.name: rng.normal(size=v.dim) for v in views}) for i in range(30)]
         compressed = compress_views(records, views, 0.9)
-        for v in views:
+        for v, Z in zip(views, compressed):
             model = pca_fit(np.stack([r.features[v.name] for r in records]), 0.9)
-            for r, c in zip(records, compressed):
+            assert Z.shape == (len(records), model.k)
+            for r, z in zip(records, Z):
                 expected = pca_transform(model, r.features[v.name][None, :])[0]
-                assert np.allclose(c.features[v.name], expected, rtol=0.0, atol=1e-12)
+                assert np.allclose(z, expected, rtol=0.0, atol=1e-12)
+
+
+class TestEmbedViews:
+    @settings(deadline=None)
+    @given(fixture=views_and_records())
+    def test_embed_is_embed_views_of_the_feature_matrices(self, fixture):
+        views, xs, _ = fixture
+        metric = FusedCosineMetric(views)
+        matrices = [np.array([r.features[v.name] for r in xs]).reshape(len(xs), v.dim) for v in views]
+        assert np.array_equal(metric.embed(xs), metric.embed_views(matrices))
+
+
+class _CountingEuclid:
+    """``euclid1d`` recording the row count of every reference block."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def embed(self, records):
+        return euclid1d.embed(records)
+
+    def between(self, A, B):
+        self.blocks.append(len(B))
+        return euclid1d.between(A, B)
+
+
+def brute_force_mins(records, labeled):
+    return np.array([min(euclid1d(r, z) for z in labeled) for r in records])
+
+
+class TestCoverage:
+    def test_mins_are_infinite_before_any_fold(self):
+        coverage = Coverage(euclid1d, scalar_records([0.0, 2.0]))
+        assert coverage.mins.tolist() == [math.inf, math.inf]
+        assert coverage.folded == set()
+
+    def test_fold_skips_folded_records(self):
+        records = scalar_records([0.0, 3.0, 7.0, 10.0])
+        metric = _CountingEuclid()
+        coverage = Coverage(metric, records)
+        coverage.fold(records[:2])
+        assert metric.blocks == [2]
+        # Only the one record not folded yet reaches the metric.
+        mins = coverage.fold([records[1], records[2], records[0]])
+        assert metric.blocks == [2, 1]
+        assert coverage.folded == set(records[:3])
+        assert mins.tolist() == brute_force_mins(records, records[:3]).tolist()
+        coverage.fold(records[:3])
+        assert metric.blocks == [2, 1]
+
+    def test_given_embedding_is_used(self):
+        records = scalar_records([0.0, 1.0])
+        coverage = Coverage(euclid1d, records, E=np.array([[0.0], [5.0]]))
+        assert coverage.fold(records[:1]).tolist() == [0.0, 5.0]
+
+    def test_record_in_labeled_and_pool_matches_covering_radius(self):
+        records = scalar_records([0.0, 2.0, 5.0, 9.0])
+        labeled = records[:2]
+        pool = [records[2], records[1], records[3]]
+        coverage = Coverage(euclid1d, [*labeled, *pool])
+        mins = coverage.fold(labeled)
+        assert mins.tolist() == brute_force_mins([*labeled, *pool], labeled).tolist()
+        assert mins.max() == covering_radius(labeled, pool, euclid1d) == 7.0

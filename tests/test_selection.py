@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from alsim.features import FusedCosineMetric, fused_distance
+from alsim.features import Coverage, FusedCosineMetric, fused_distance
 from alsim.records import ViewSpec
 from alsim.selection import (
     CORESET_KINDS,
@@ -39,6 +39,13 @@ def greedy_oracle(pool, labeled, dist, k):
         picked.append(best)
         remaining.remove(best)
     return [r.instance_id for r in picked]
+
+
+def coverage_of(pool, labeled, metric):
+    """A coverage of pool + labeled with the labeled set folded in."""
+    coverage = Coverage(metric, [*pool, *labeled])
+    coverage.fold(labeled)
+    return coverage
 
 
 def ranked_ids(pool, kind, seed=None, **cfg):
@@ -323,10 +330,23 @@ class TestRankPool:
             ]
             labeled = [make_record(100, features={"v": [0.0]})]
             cfg = StrategyConfig(kind=kind, views=views if kind == "coreset" else ())
-            metric = FusedCosineMetric(views) if kind == "coreset" else None
-            ranked = [r.instance_id for r, _ in rank_pool(pool, cfg, labeled=labeled, metric=metric)]
+            coverage = coverage_of(pool, labeled, FusedCosineMetric(views)) if kind == "coreset" else None
+            ranked = [r.instance_id for r, _ in rank_pool(pool, cfg, coverage=coverage)]
             assert len(set(ranked)) == len(ranked)
             assert set(ranked) <= {r.instance_id for r in pool}
+
+    def test_greedy_ranking_reads_the_coverage_and_leaves_it_unchanged(self):
+        pool, labeled = scalar_records([1.0, 4.0, 9.0]), scalar_records([0.0], ids=[10])
+        coverage = coverage_of(pool, labeled, euclid1d)
+        mins = coverage.mins.copy()
+        cfg = StrategyConfig(kind="coreset", views=(ViewSpec("v", 1, 1.0),))
+        ranked = [(r.instance_id, score) for r, score in rank_pool(pool, cfg, coverage=coverage)]
+        assert ranked == [(2, 9.0), (1, 4.0), (0, 1.0)]
+        assert np.array_equal(coverage.mins, mins) and coverage.folded == set(labeled)
+        with pytest.raises(ValueError, match="needs a coverage"):
+            next(rank_pool(pool, cfg))
+        with pytest.raises(ValueError, match="labeled set must be nonempty"):
+            next(rank_pool(pool, cfg, coverage=Coverage(euclid1d, pool)))
 
 
 @st.composite
@@ -376,7 +396,7 @@ class TestRankPoolProperties:
         labeled = scalar_records(labeled_values, ids=[1000 + i for i in range(len(labeled_values))])
         k = data.draw(st.integers(1, len(pool)))
         cfg = StrategyConfig(kind="coreset", views=(ViewSpec("v", 1, 1.0),))
-        ranking = rank_pool(pool, cfg, labeled=labeled, metric=euclid1d)
+        ranking = rank_pool(pool, cfg, coverage=coverage_of(pool, labeled, euclid1d))
         assert [r.instance_id for r, _ in islice(ranking, k)] == greedy_oracle(pool, labeled, euclid1d, k)
 
 
@@ -413,14 +433,14 @@ class TestFusedGreedyOrder:
             mins = sorted(min(dist(by_id[i], z) for z in refs) for i in expected[step:])
             assume(all(b - a > 1e-9 for a, b in zip(mins, mins[1:])))
         cfg = StrategyConfig(kind="coreset", views=views)
-        ranking = rank_pool(pool, cfg, labeled=labeled, metric=FusedCosineMetric(views))
+        ranking = rank_pool(pool, cfg, coverage=coverage_of(pool, labeled, FusedCosineMetric(views)))
         assert [r.instance_id for r, _ in ranking] == expected
 
 
 class TestEmbeddedGreedy:
     @settings(deadline=None)
     @given(n_pool=st.integers(1, 12), n_labeled=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-    def test_full_traversal_embeds_twice(self, n_pool, n_labeled, seed):
+    def test_full_traversal_embeds_once(self, n_pool, n_labeled, seed):
         rng = np.random.default_rng(seed)
         views = (ViewSpec("a", 3, 0.5), ViewSpec("b", 2, 0.5))
         records = [
@@ -436,4 +456,4 @@ class TestEmbeddedGreedy:
 
         picks = list(iter_coreset_picks(records[:n_pool], records[n_pool:], CountingMetric(views)))
         assert sorted(r.instance_id for r, _ in picks) == list(range(n_pool))
-        assert sorted(calls) == sorted([n_pool, n_labeled])
+        assert calls == [n_pool + n_labeled]

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 from dataclasses import replace
 from decimal import Decimal, getcontext
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alsim import features, simulation
-from alsim.features import FusedCosineMetric, compress_views
+from alsim.features import FusedCosineMetric
 from alsim.geometry import match_request
 from alsim.records import ViewSpec
 from alsim.selection import CORESET_KINDS, STRATEGY_KINDS, DepthFilters, StrategyConfig, ensemble_depth_variance
@@ -577,32 +578,6 @@ class TestPcaOncePerCampaign:
         assert len(state.history) == 3
         assert calls == [len(data.instances)]
 
-    def test_same_requests_as_a_replay_over_one_compression(self):
-        data = generate_synthetic(small_spec(clusters=6), seed=8)
-        cfg = self.pca_config(data)
-        _, state = run_campaign(cfg, data, lambda lab, pool: float(len(lab)))
-
-        # Replay the campaign with run_round over one compressed copy.
-        compressed = compress_views(data.instances, data.views, cfg.pca_var_keep)
-        views = tuple(replace(v, dim=compressed[0].features[v.name].shape[0]) for v in data.views)
-        ranked = replace(data, instances=tuple(compressed))
-        round_cfg = replace(cfg, strategy=replace(cfg.strategy, views=views), pca_var_keep=None)
-        ref = RoundState(
-            round_index=0,
-            labeled_gt=frozenset(g.gt_id for g in data.ground_truth if g.image_id in state.labeled_images),
-            requested_total=0,
-            labeled_images=state.labeled_images,
-            rng_seed=cfg.strategy.seed,
-        )
-        for _ in cfg.round_budgets:
-            ref, _ = run_round(ref, ranked, round_cfg, _split(ref, ranked.instances)[1])
-        assert [log.events for log in ref.history] == [log.events for log in state.history]
-
-    def test_run_round_refuses_pca_var_keep(self):
-        data = generate_synthetic(small_spec(), seed=5)
-        with pytest.raises(ValueError, match="pca_var_keep"):
-            run_round(fresh_state(), data, self.pca_config(data), list(data.instances))
-
     def test_non_greedy_campaign_ignores_pca_var_keep(self, monkeypatch):
         monkeypatch.setattr(simulation, "compress_views", None)
         data = generate_synthetic(small_spec(clusters=6), seed=8)
@@ -611,6 +586,79 @@ class TestPcaOncePerCampaign:
         _, without = run_campaign(cfg, data, lambda lab, pool: float(len(lab)))
         assert len(without.history) == 3
         assert [log.events for log in with_pca.history] == [log.events for log in without.history]
+
+
+class TestOneCoveragePerCampaign:
+    """A greedy campaign embeds its instances once and folds labels
+    forward; each round must still pick what a standalone round, which
+    builds its coverage from the state's labels, would pick."""
+
+    def coreset_config(self, data, views=None, **kwargs):
+        return CampaignConfig(
+            strategy=StrategyConfig(kind="coreset", views=views or data.views, seed=0),
+            round_budgets=(4, 8, 12),
+            **kwargs,
+        )
+
+    @pytest.mark.parametrize("pca_var_keep", [None, 0.95], ids=["raw", "pca"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_same_requests_as_a_replay_of_standalone_rounds(self, pca_var_keep, seed):
+        # Crowded images with two thirds of the ground truth dropped, so
+        # matched, null and suppressed requests all come up.
+        data = generate_synthetic(SyntheticSpec(4, 60), seed=seed)
+        data = replace(data, ground_truth=data.ground_truth[::3])
+        cfg = CampaignConfig(
+            strategy=StrategyConfig(kind="coreset", views=data.views, seed=seed),
+            round_budgets=tuple(range(8, 97, 8)),
+            pca_var_keep=pca_var_keep,
+        )
+        _, state = run_campaign(cfg, data, lambda lab, pool: 0.0)
+        assert {"matched", "null", "suppressed"} <= {ev.outcome for log in state.history for ev in log.events}
+
+        ref = RoundState(
+            round_index=0,
+            labeled_gt=frozenset(g.gt_id for g in data.ground_truth if g.image_id in state.labeled_images),
+            requested_total=0,
+            labeled_images=state.labeled_images,
+            rng_seed=cfg.strategy.seed,
+        )
+        for _ in cfg.round_budgets:
+            ref, log = run_round(ref, data, cfg, _split(ref, data.instances)[1], coverage=None)
+            if log.charged == 0:
+                break
+        assert [log.events for log in ref.history] == [log.events for log in state.history]
+
+    def test_campaign_embeds_the_instances_once(self, monkeypatch):
+        calls = []
+        real = FusedCosineMetric.embed
+
+        def counting(metric, records):
+            calls.append(len(records))
+            return real(metric, records)
+
+        monkeypatch.setattr(FusedCosineMetric, "embed", counting)
+        data = generate_synthetic(small_spec(), seed=5)
+        _, state = run_campaign(self.coreset_config(data), data, lambda lab, pool: float(len(lab)))
+        assert len(state.history) == 3
+        assert calls == [len(data.instances)]
+
+    def test_unnormalized_weights_warn_once_per_campaign(self, caplog):
+        data = generate_synthetic(small_spec(), seed=5)
+        views = tuple(replace(v, lam=1.0) for v in data.views)
+        with caplog.at_level(logging.WARNING, logger="alsim.features"):
+            _, state = run_campaign(self.coreset_config(data, views), data, lambda lab, pool: float(len(lab)))
+        assert len(state.history) == 3
+        warnings = [r.getMessage() for r in caplog.records if "view weights sum to" in r.getMessage()]
+        assert warnings == ["view weights sum to 4, not 1; using them as configured"]
+
+    def test_standalone_round_runs_with_pca(self):
+        data = generate_synthetic(small_spec(), seed=5)
+        labeled_images = frozenset(["img0000"])
+        state = RoundState(0, frozenset(g.gt_id for g in data.ground_truth if g.image_id in labeled_images),
+                           0, labeled_images, 0)
+        cfg = self.coreset_config(data, pca_var_keep=0.99)
+        state, log = run_round(state, data, cfg, _split(state, data.instances)[1])
+        assert log.charged == 4
 
 
 @st.composite
