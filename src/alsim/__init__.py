@@ -35,6 +35,7 @@ from .selection import (
 )
 from .simulation import (
     CampaignConfig,
+    OracleIndex,
     RoundLog,
     RoundState,
     SyntheticSpec,

@@ -10,6 +10,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -63,6 +64,20 @@ def cmd_ingest(args) -> int:
 
 class _UsageError(Exception):
     pass
+
+
+def _write_atomically(files: dict[Path, str]) -> None:
+    """Write each text to a temporary file beside its path, then move each
+    into place, so a failed write leaves no file with partial contents."""
+    temps = {path: path.with_name(path.name + ".tmp") for path in files}
+    try:
+        for path, text in files.items():
+            temps[path].write_text(text, encoding="utf-8")
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
 
 
 def _object(obj: dict, key: str) -> dict:
@@ -207,14 +222,6 @@ def cmd_simulate(args) -> int:
         curves.append(curve)
 
         seed_dir = out_dir / f"seed_{seed}"
-        seed_dir.mkdir(parents=True, exist_ok=True)
-        (seed_dir / "curve.csv").write_text(
-            _curve_lines(curve, f"config={chash} seed={seed}"), encoding="utf-8"
-        )
-        with open(seed_dir / "rounds.jsonl", "w", encoding="utf-8") as fh:
-            for log in state.history:
-                for ev in log.events:
-                    fh.write(json.dumps(ev.to_json(), sort_keys=True) + "\n")
         final = {
             "config_hash": chash,
             "seed": seed,
@@ -223,9 +230,18 @@ def cmd_simulate(args) -> int:
             "labeled_gt_count": len(state.labeled_gt),
             "labeled_images": sorted(state.labeled_images),
         }
-        (seed_dir / "state.json").write_text(
-            json.dumps(final, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        try:
+            seed_dir.mkdir(parents=True, exist_ok=True)
+            _write_atomically({
+                seed_dir / "curve.csv": _curve_lines(curve, f"config={chash} seed={seed}"),
+                seed_dir / "rounds.jsonl": "".join(
+                    json.dumps(ev.to_json(), sort_keys=True) + "\n" for log in state.history for ev in log.events
+                ),
+                seed_dir / "state.json": json.dumps(final, sort_keys=True, indent=2) + "\n",
+            })
+        except OSError as exc:
+            print(f"error: cannot write {seed_dir}: {exc}", file=sys.stderr)
+            return 1
 
     n_rounds = min(len(c.points) for c in curves)
     if any(len(c.points) != n_rounds for c in curves):

@@ -75,6 +75,9 @@ def match_request(
     with pixel height at least ``min_px_height`` and center inside the
     per-axis window given by ``labeling_radius``, the closest center by
     Euclidean distance wins; equal distances resolve to the lowest gt_id.
+    The result depends only on which candidates lie inside the window, so
+    callers may narrow the candidates to the window first (``|dx| <= r_x``
+    and ``|dy| <= r_y``, the comparisons made here), in any order.
     Matching is class-agnostic: ``pred_class`` travels with the request
     for bookkeeping only.
 

@@ -7,6 +7,12 @@ an object; near-duplicate requests are skipped without charge. Matched
 objects move to the labeled set and their requesting instances join the
 strategy's reference set, one ``features.Coverage`` per campaign.
 
+The oracle's per-image state is one ``OracleIndex`` per campaign: the
+charged requests by image and class, which duplicate suppression reads,
+and each image's ground truth with an open mask that a match clears.
+A request is matched against only the open objects inside its labeling
+window, so a round costs time in its requests, not in the dataset's size.
+
 The module also carries the training-side schedules of the simulated
 detector ensemble (time-decayed label bagging and loss-weight
 perturbation); each round log records their values and the bag size, and
@@ -22,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .features import Coverage, FusedCosineMetric, compress_views
-from .geometry import match_request, suppress_duplicate
+from .geometry import Radius2D, labeling_radius, match_request, suppress_duplicate
 from .metrics import Curve, CurvePoint
 from .records import Box2D, CameraModel, Dataset, GroundTruthObject, InstanceRecord, ViewSpec, _whole
 from .selection import CORESET_KINDS, StrategyConfig, rank_pool, validate_strategy_setup
@@ -32,6 +38,7 @@ __all__ = [
     "RequestEvent",
     "RoundLog",
     "RoundState",
+    "OracleIndex",
     "CampaignConfig",
     "bagging_fraction",
     "sample_loss_weights",
@@ -207,12 +214,55 @@ def _coverage(cfg: CampaignConfig, data: Dataset, labeled: Sequence[InstanceReco
     return coverage
 
 
+class _ImageTruth:
+    """One image's ground-truth objects in dataset order, their centre
+    columns, and an ``open`` mask of the objects not labeled yet."""
+
+    __slots__ = ("objects", "cx", "cy", "open")
+
+    def __init__(self, objects: list[GroundTruthObject], labeled_gt: frozenset[int]):
+        self.objects = objects
+        self.cx = np.array([g.center2d[0] for g in objects], dtype=np.float64)
+        self.cy = np.array([g.center2d[1] for g in objects], dtype=np.float64)
+        self.open = np.array([g.gt_id not in labeled_gt for g in objects], dtype=bool)
+
+    def window(self, center: tuple[float, float], rad: Radius2D) -> list[int]:
+        """Rows of the open objects whose centre lies within ``rad`` of
+        ``center`` on both axes, boundary inclusive, in dataset order."""
+        inside = self.open & (np.abs(self.cx - center[0]) <= rad.r_x) & (np.abs(self.cy - center[1]) <= rad.r_y)
+        return inside.nonzero()[0].tolist()
+
+
+class OracleIndex:
+    """The oracle's per-image state at the start of round ``round_index``.
+
+    ``priors`` maps ``(image_id, class_id)`` to the ``(center, class_id)``
+    pairs of the requests charged so far; ``truth`` maps an image to its
+    ground truth with the labeled objects closed. Built from a state's
+    ledger (``charged_ids``, ``labeled_gt``); ``run_round`` updates it in
+    place with each request and then advances ``round_index``, so a
+    campaign carries one index through all its rounds.
+    """
+
+    def __init__(self, data: Dataset, state: RoundState):
+        self.round_index: int | None = state.round_index
+        self.priors: dict[tuple[str, int], list[tuple[tuple[float, float], int]]] = {}
+        for r in data.instances:
+            if r.instance_id in state.charged_ids:
+                self.priors.setdefault((r.image_id, r.class_id), []).append((r.center, r.class_id))
+        by_image: dict[str, list[GroundTruthObject]] = {}
+        for g in data.ground_truth:
+            by_image.setdefault(g.image_id, []).append(g)
+        self.truth = {image: _ImageTruth(objects, state.labeled_gt) for image, objects in by_image.items()}
+
+
 def run_round(
     state: RoundState,
     data: Dataset,
     cfg: CampaignConfig,
     pool: Sequence[InstanceRecord],
     coverage: Coverage | None = None,
+    oracle: OracleIndex | None = None,
 ) -> tuple[RoundState, RoundLog]:
     """Run one selection round up to its cumulative budget target.
 
@@ -221,17 +271,21 @@ def run_round(
     built from ``state``'s labels when it is not given. Requests are
     issued in rank order. A request within 95% of the labeling radius of
     an earlier same-class request in the same image is suppressed without
-    charge. Every other request is charged, matched or not;
-    matched ground truth moves to the labeled set. The round stops once
-    the cumulative requested total reaches this round's budget target or
-    the ranking is exhausted. Earlier rounds are read from ``state``'s
-    ledger. The loop records only the events (and the charged count the
-    budget needs); the round log's counts and the returned state's labels
-    and ledger are read off those events.
+    charge. Every other request is charged, matched or not, against the
+    open ground truth inside its labeling window; matched ground truth
+    moves to the labeled set. The round stops once the cumulative
+    requested total reaches this round's budget target or the ranking is
+    exhausted. Earlier rounds are read from ``oracle``, which the round
+    updates in place and advances to the next round, or from an index
+    built from ``state``'s ledger when it is not given. The loop records
+    only the events (and the charged count the budget needs); the round
+    log's counts and the returned state's labels and ledger are read off
+    those events.
 
     Raises:
-        ValueError: if the budget target lies below the current total, or
-            if a requested instance lacks the depth the oracle window needs.
+        ValueError: if the budget target lies below the current total, if
+            ``oracle`` is at another round than ``state``, or if a
+            requested instance lacks the depth the oracle window needs.
     """
     if state.round_index >= len(cfg.round_budgets):
         raise ValueError(f"no budget configured for round {state.round_index}")
@@ -240,19 +294,15 @@ def run_round(
         raise ValueError(
             f"budget target {target} below already requested {state.requested_total}"
         )
+    if oracle is None:
+        oracle = OracleIndex(data, state)
+    elif oracle.round_index != state.round_index:
+        raise ValueError(f"oracle index is at round {oracle.round_index}, state at round {state.round_index}")
     if cfg.strategy.kind in CORESET_KINDS and coverage is None:
         coverage = _coverage(cfg, data, _split(state, data.instances)[0])
-
-    # Per image, the (center, class) of every request charged so far.
-    priors: dict[str, list] = {}
-    for r in data.instances:
-        if r.instance_id in state.charged_ids:
-            priors.setdefault(r.image_id, []).append((r.center, r.class_id))
-    # Per image, the ground truth not yet labeled; a match removes its object.
-    open_gts: dict[str, list[GroundTruthObject]] = {}
-    for g in data.ground_truth:
-        if g.gt_id not in state.labeled_gt:
-            open_gts.setdefault(g.image_id, []).append(g)
+    # Marked in progress until the loop ends, so an index left half
+    # updated by an error is refused by the next round.
+    oracle.round_index = None
 
     events: list[RequestEvent] = []
     charged = 0
@@ -264,16 +314,20 @@ def run_round(
             break
         if record.pred_depth is None:
             raise ValueError(f"instance {record.instance_id}: pred_depth required to issue a request")
-        image_priors = priors.setdefault(record.image_id, [])
+        priors = oracle.priors.setdefault((record.image_id, record.class_id), [])
         if suppress_duplicate(
-            record.center, record.pred_depth, record.class_id, image_priors, data.camera, cfg.h_scale
+            record.center, record.pred_depth, record.class_id, priors, data.camera, cfg.h_scale
         ):
             events.append(
                 RequestEvent(state.round_index, record.instance_id, record.image_id, "suppressed")
             )
             continue
 
-        candidates = open_gts.get(record.image_id, [])
+        truth = oracle.truth.get(record.image_id)
+        candidates: list[GroundTruthObject] = []
+        if truth is not None:
+            rows = truth.window(record.center, labeling_radius(data.camera, record.pred_depth, cfg.h_scale))
+            candidates = [truth.objects[i] for i in rows]
         result = match_request(
             record.center,
             record.pred_depth,
@@ -283,14 +337,15 @@ def run_round(
             cfg.h_scale,
             cfg.min_px_height,
         )
-        image_priors.append((record.center, record.class_id))
+        priors.append((record.center, record.class_id))
         charged += 1
         if result.matched:
-            open_gts[record.image_id] = [g for g in candidates if g.gt_id != result.gt_id]
+            truth.open[rows[[g.gt_id for g in candidates].index(result.gt_id)]] = False
         outcome = "matched" if result.matched else "null"
         events.append(
             RequestEvent(state.round_index, record.instance_id, record.image_id, outcome, result.gt_id, True)
         )
+    oracle.round_index = state.round_index + 1
 
     matched = [ev for ev in events if ev.outcome == "matched"]
     labeled_gt = state.labeled_gt | {ev.gt_id for ev in matched}
@@ -343,7 +398,8 @@ def run_campaign(
 
     A greedy campaign embeds (and PCA-compresses) ``data.instances`` once,
     into one coverage that every round ranks from and that folds in each
-    round's new labels.
+    round's new labels. Every campaign builds one ``OracleIndex`` after
+    seeding, which each round updates with its requests.
     """
     validate_strategy_setup(cfg.strategy, list(data.instances))
     missing_depth = [r.instance_id for r in data.instances if r.pred_depth is None]
@@ -372,11 +428,12 @@ def run_campaign(
 
     greedy = pool and cfg.round_budgets and cfg.strategy.kind in CORESET_KINDS
     coverage = _coverage(cfg, data, labeled) if greedy else None
+    oracle = OracleIndex(data, state)
 
     for _ in cfg.round_budgets:
         if not pool:
             break
-        state, log = run_round(state, data, cfg, pool, coverage)
+        state, log = run_round(state, data, cfg, pool, coverage, oracle)
         if log.charged == 0:
             break
         labeled, pool = _split(state, data.instances)

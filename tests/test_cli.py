@@ -1,6 +1,8 @@
+import errno
 import json
 import logging
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -215,6 +217,33 @@ class TestSimulate:
         assert (out / "curve_mean.csv").exists()
         curve = read_curve_csv(out / "seed_0" / "curve.csv")
         assert curve.points[0].x == 0.0
+
+    def test_failed_write_leaves_no_partial_file(self, sim_setup, monkeypatch, capsys):
+        # A complete run, then a rerun with other budgets whose state.json
+        # write runs out of space halfway: every seed file must still hold
+        # the first run's bytes, and no temporary file may be left.
+        config, config_path, tmp_path = sim_setup
+        out = tmp_path / "runs"
+        assert main(["simulate", "--config", str(config_path), "--out", str(out), "--seed", "0"]) == 0
+        seed_dir = out / "seed_0"
+        before = {f.name: f.read_bytes() for f in seed_dir.iterdir()}
+        assert sorted(before) == ["curve.csv", "rounds.jsonl", "state.json"]
+
+        config["campaign"]["round_budgets"] = [3, 6]
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        real_write_text = Path.write_text
+
+        def out_of_space(path, text, *args, **kwargs):
+            if path.name.startswith("state.json"):
+                real_write_text(path, text[: len(text) // 2], *args, **kwargs)
+                raise OSError(errno.ENOSPC, "No space left on device", str(path))
+            return real_write_text(path, text, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", out_of_space)
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(config_path), "--out", str(out), "--seed", "0"]) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert {f.name: f.read_bytes() for f in seed_dir.iterdir()} == before
 
     def test_short_seed_curve_logged_when_mean_is_cut(self, tmp_path, caplog):
         # img0001 keeps one instance: a seed that labels img0000 first

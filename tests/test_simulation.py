@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 
 from alsim import features, simulation
 from alsim.features import FusedCosineMetric
-from alsim.geometry import match_request
+from alsim.geometry import match_request, suppress_duplicate
 from alsim.records import ViewSpec
 from alsim.selection import CORESET_KINDS, STRATEGY_KINDS, DepthFilters, StrategyConfig, ensemble_depth_variance
 from alsim.simulation import (
     CampaignConfig,
+    OracleIndex,
     RoundState,
     SyntheticSpec,
     _split,
@@ -709,6 +710,120 @@ class TestRunRoundProperties:
             charged_ids += [ev.instance_id for ev in log.events if ev.charged]
             state = new
         assert len(charged_ids) == len(set(charged_ids))
+
+
+# With camera f = 100 px and H = 2 these depths give windows of 20, 10 and
+# 25 px, all exact in binary; on a 5 px grid, objects exactly a window
+# away and objects equidistant from a request both come up often.
+GRID_DEPTHS = (10.0, 20.0, 8.0)
+
+
+@st.composite
+def grid_campaigns(draw):
+    """Crowded images on a 5 px grid, one object near each instance with
+    some dropped, ids shuffled against dataset order, three classes, and
+    objects below ``min_px_height``; a random campaign over them."""
+    grid = lambda lo, hi: 5.0 * draw(st.integers(lo, hi))
+    instances, objects = [], []
+    for image in range(draw(st.integers(1, 3))):
+        for _ in range(draw(st.integers(1, 16))):
+            center = (grid(0, 8), grid(0, 4))
+            instances.append(make_record(
+                len(instances), image_id=f"img{image}", class_id=draw(st.integers(0, 2)), center=center,
+                pred_depth=draw(st.sampled_from(GRID_DEPTHS)), size=(10, 10),
+            ))
+            if draw(st.booleans()):
+                objects.append((f"img{image}", (center[0] + grid(-5, 5), center[1] + grid(-5, 5)),
+                                draw(st.sampled_from([10.0, 60.0]))))
+    gt_ids = draw(st.permutations(range(len(objects))))
+    gts = [make_gt(i, image_id=image, center=c, pixel_height=h) for i, (image, c, h) in zip(gt_ids, objects)]
+    budgets = tuple(itertools.accumulate(draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))))
+    cfg = CampaignConfig(
+        strategy=StrategyConfig(kind="random", seed=draw(st.integers(0, 2**16))),
+        round_budgets=budgets,
+        initial_fraction=draw(st.sampled_from([0.0, 0.5])),
+    )
+    return build_dataset(instances, gts), cfg
+
+
+def full_scan_outcomes(data, cfg, history, labeled_gt):
+    """Each request of ``history`` resolved against every earlier charged
+    request of its image and every open object of its image, unindexed."""
+    by_id = {r.instance_id: r for r in data.instances}
+    open_gts = [g for g in data.ground_truth if g.gt_id not in labeled_gt]
+    priors = []
+    outcomes = []
+    for ev in (ev for log in history for ev in log.events):
+        r = by_id[ev.instance_id]
+        image_priors = [(c, k) for image, c, k in priors if image == r.image_id]
+        if suppress_duplicate(r.center, r.pred_depth, r.class_id, image_priors, data.camera, cfg.h_scale):
+            outcomes.append(("suppressed", None))
+            continue
+        candidates = [g for g in open_gts if g.image_id == r.image_id]
+        result = match_request(
+            r.center, r.pred_depth, r.class_id, candidates, data.camera, cfg.h_scale, cfg.min_px_height
+        )
+        priors.append((r.image_id, r.center, r.class_id))
+        open_gts = [g for g in open_gts if g.gt_id != result.gt_id]
+        outcomes.append(("matched" if result.matched else "null", result.gt_id))
+    return outcomes
+
+
+class TestOracleIndex:
+    @settings(deadline=None)
+    @given(fixture=grid_campaigns())
+    def test_carried_index_matches_fresh_indexes_and_a_full_scan(self, fixture):
+        data, cfg = fixture
+        _, state = run_campaign(cfg, data, lambda lab, pool: 0.0)
+        seeded_gt = frozenset(g.gt_id for g in data.ground_truth if g.image_id in state.labeled_images)
+        ref = RoundState(0, seeded_gt, 0, state.labeled_images, cfg.strategy.seed)
+        for log in state.history:
+            ref, ref_log = run_round(ref, data, cfg, _split(ref, data.instances)[1])
+            assert ref_log.events == log.events
+        events = [ev for log in state.history for ev in log.events]
+        assert [(ev.outcome, ev.gt_id) for ev in events] == full_scan_outcomes(data, cfg, state.history, seeded_gt)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_window_boundary_is_inclusive(self, axis, side):
+        # Depth 10 gives a window of exactly 20 px on both axes: an object
+        # 20 px away is offered and matched, one a single ulp further out
+        # is never offered.
+        def offered_on(edge):
+            gt_center = [50.0, 50.0]
+            gt_center[axis] = edge
+            data = build_dataset(
+                [make_record(0, center=(50.0, 50.0), pred_depth=10.0, size=(10, 10))],
+                [make_gt(7, center=tuple(gt_center), pixel_height=60.0)],
+            )
+            offered = []
+
+            def recording(center, depth, cls, candidates, *args):
+                offered.append([g.gt_id for g in candidates])
+                return match_request(center, depth, cls, candidates, *args)
+
+            with patch.object(simulation, "match_request", recording):
+                _, log = run_round(fresh_state(), data, round_config((1,)), data.instances)
+            return offered, [(ev.outcome, ev.gt_id) for ev in log.events]
+
+        edge = 50.0 + side * 20.0
+        assert offered_on(edge) == ([[7]], [("matched", 7)])
+        assert offered_on(float(np.nextafter(edge, side * math.inf))) == ([[]], [("null", None)])
+
+    def test_index_of_another_round_refused(self):
+        data = build_dataset(
+            [make_record(i, center=(60.0 * (i + 1), 50.0), pred_depth=10.0, size=(10, 10)) for i in range(2)],
+            [make_gt(100 + i, center=(60.0 * (i + 1), 50.0), pixel_height=60.0) for i in range(2)],
+        )
+        cfg = round_config((1, 2))
+        state = fresh_state()
+        oracle = OracleIndex(data, state)
+        new_state, _ = run_round(state, data, cfg, list(data.instances), oracle=oracle)
+        assert oracle.round_index == 1
+        with pytest.raises(ValueError, match="oracle index is at round 1, state at round 0"):
+            run_round(state, data, cfg, list(data.instances), oracle=oracle)
+        _, log = run_round(new_state, data, cfg, _split(new_state, data.instances)[1], oracle=oracle)
+        assert [ev.outcome for ev in log.events] == ["matched"]
 
 
 class TestGenerateSynthetic:
