@@ -122,21 +122,30 @@ class FusedCosineMetric:
         return self.between(self.embed(xs), self.embed(zs))
 
 
-# Reference rows per distance block in ``fold_min_distances``: at most
-# len(E) x FOLD_BLOCK distances exist at once, whatever the reference size.
-FOLD_BLOCK = 1024
+# Distances per tile in ``fold_min_distances``: 2**17 float64s, 1 MiB,
+# so a tile stays in a core's L2 cache between the product and the
+# minimum. At most this many distances exist at once, whatever the sizes.
+FOLD_CELLS = 1 << 17
 
 
 def fold_min_distances(metric, E: np.ndarray, R: np.ndarray, mins: np.ndarray) -> np.ndarray:
     """Lower ``mins`` in place to each row of ``E``'s minimum distance to
     the rows of ``R`` and return it.
 
-    ``metric.between`` is taken over ``FOLD_BLOCK`` rows of ``R`` at a
-    time, so the minimum over a large reference set never needs the whole
-    len(E) x len(R) matrix.
+    ``metric.between`` is taken tile by tile, over ``cols`` rows of ``R``
+    and ``FOLD_CELLS // cols`` rows of ``E``, so no call sees more than
+    ``FOLD_CELLS`` distances. The tile minima of one reference block go
+    into one vector, which lowers ``mins`` once per block. A one-row
+    ``R`` (the greedy pick loop) is one call for up to ``FOLD_CELLS``
+    rows of ``E``.
     """
-    for start in range(0, len(R), FOLD_BLOCK):
-        np.minimum(mins, metric.between(E, R[start : start + FOLD_BLOCK]).min(axis=1), out=mins)
+    cols = max(1, min(len(R), FOLD_CELLS))
+    rows = max(1, FOLD_CELLS // cols)
+    best = np.empty(len(E))
+    for c in range(0, len(R), cols):
+        for a in range(0, len(E), rows):
+            metric.between(E[a : a + rows], R[c : c + cols]).min(axis=1, out=best[a : a + rows])
+        np.minimum(mins, best, out=mins)
     return mins
 
 
@@ -144,7 +153,9 @@ class Coverage:
     """Greedy k-center state: ``E``, one row per record (``metric.embed``
     unless given), and ``mins``, each row's minimum distance to the
     ``folded`` records (inf before any fold). Rows are keyed by the record:
-    records are eq=False, so they hash by identity."""
+    records are eq=False, so they hash by identity. A fold goes through
+    ``fold_min_distances``, so it holds at most ``FOLD_CELLS`` distances at
+    once, besides ``E`` and ``mins``, whatever the number of records."""
 
     def __init__(self, metric, records: Sequence[InstanceRecord], E: np.ndarray | None = None):
         self.metric = metric

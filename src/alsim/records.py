@@ -196,6 +196,8 @@ def validate_dataset(d: Dataset) -> list[str]:
         if g.gt_id in seen_gt:
             violations.append(f"{tag}: duplicate gt_id")
         seen_gt.add(g.gt_id)
+        if not (math.isfinite(g.center2d[0]) and math.isfinite(g.center2d[1])):
+            violations.append(f"{tag}: center2d must be finite, got {g.center2d}")
         if not 0 < g.depth < math.inf:
             violations.append(f"{tag}: depth must be finite and > 0, got {g.depth}")
         if not 0 <= g.pixel_height < math.inf:

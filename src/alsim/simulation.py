@@ -486,8 +486,10 @@ def covering_radius_hook(metric) -> PerformanceHook:
     (labeled + pool) into a ``Coverage``, and while later calls pass the
     same set of records (matched by identity) with a labeled set that only
     grew, only the newly labeled rows are folded in, in ``labeled``'s
-    order. Any other call starts over. The hook does not share a greedy
-    strategy's coverage, whose metric may differ.
+    order. Any other call starts over. Folds are tiled, so a call holds at
+    most ``features.FOLD_CELLS`` distances at once, whatever the number of
+    instances. The hook does not share a greedy strategy's coverage, whose
+    metric may differ.
     """
     return _CoveringRadiusHook(metric)
 

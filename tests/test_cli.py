@@ -137,6 +137,15 @@ class TestIngest:
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_non_finite_gt_center_exit_1(self, tmp_path, capsys):
+        lines = raw_lines()
+        lines[4]["center2d"] = [float("nan"), float("inf")]
+        raw = tmp_path / "raw.jsonl"
+        write_raw(raw, lines)
+        assert main(["ingest", "--input", str(raw), "--output", str(tmp_path / "out")]) == 1
+        assert "gt 50: center2d must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "line, key, value, message",
         [

@@ -240,6 +240,15 @@ class TestLoadErrors:
         with pytest.raises(DatasetError, match=message):
             load_dataset(manifest)
 
+    @pytest.mark.parametrize("center", [[float("nan"), float("inf")], [10.0, float("-inf")]], ids=["nan", "-inf"])
+    def test_non_finite_gt_center_refused(self, tmp_path, center):
+        write_blob(tmp_path / "v.alf", [[1.0, 2.0]])
+        gt = {"kind": "gt", "gt_id": 3, "image_id": "img0", "class_id": 0, "center2d": center,
+              "depth": 10.0, "pixel_height": 40.0}
+        manifest = self._write_manifest(tmp_path, [self._header({"v": "v.alf"}), self._instance(0), gt])
+        with pytest.raises(DatasetError, match="gt 3: center2d must be finite"):
+            load_dataset(manifest)
+
     @pytest.mark.parametrize(
         "line, key, value, message",
         [

@@ -1,21 +1,32 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alsim import features
 from alsim.features import (
     Coverage,
     FusedCosineMetric,
     compress_views,
     cosine_distance,
+    fold_min_distances,
     fused_distance,
     pca_fit,
     pca_transform,
 )
 from alsim.records import ViewSpec
-from alsim.simulation import covering_radius
+from alsim.selection import StrategyConfig, rank_pool
+from alsim.simulation import (
+    CampaignConfig,
+    SyntheticSpec,
+    covering_radius,
+    covering_radius_hook,
+    generate_synthetic,
+    run_campaign,
+)
 
 from conftest import euclid1d, make_record, scalar_records
 
@@ -383,3 +394,111 @@ class TestCoverage:
         mins = coverage.fold(labeled)
         assert mins.tolist() == brute_force_mins([*labeled, *pool], labeled).tolist()
         assert mins.max() == covering_radius(labeled, pool, euclid1d) == 7.0
+
+
+@st.composite
+def fold_inputs(draw):
+    """A metric (``euclid1d`` or a fused cosine), instance rows ``E``,
+    reference rows ``R`` and starting ``mins``. The shapes include an
+    empty ``R``, a one-row ``R`` and more reference rows than instance
+    rows; each ``mins`` entry is inf, a drawn value or below every
+    distance."""
+    if draw(st.booleans()):
+        metric, views = euclid1d, (ViewSpec("v", 1, 1.0),)
+    else:
+        views = tuple(
+            ViewSpec(f"v{i}", draw(st.integers(1, 3)), draw(st.sampled_from([0.0, 0.5, 1.0])))
+            for i in range(draw(st.integers(1, 3)))
+        )
+        metric = FusedCosineMetric(views)
+
+    def vector(dim):
+        return np.array(draw(st.lists(st.integers(-8, 8), min_size=dim, max_size=dim)), dtype=np.float64) / 4
+
+    def rows(n):
+        return metric.embed([make_record(i, features={v.name: vector(v.dim) for v in views}) for i in range(n)])
+
+    shapes = st.tuples(st.integers(0, 12), st.integers(0, 12))
+    n, m = draw(st.one_of(st.sampled_from([(9, 0), (9, 1), (3, 11), (10, 3)]), shapes))
+    starts = st.one_of(st.just(math.inf), st.just(-1.0), st.integers(-2, 12).map(lambda k: k / 4))
+    mins = np.array(draw(st.lists(starts, min_size=n, max_size=n)), dtype=np.float64)
+    return metric, rows(n), rows(m), mins
+
+
+class TestFoldMinDistances:
+    @pytest.mark.parametrize("cells", [1, 2, 3, 7, features.FOLD_CELLS])
+    @settings(deadline=None)
+    @given(fixture=fold_inputs())
+    def test_tiled_fold_equals_brute_force(self, cells, fixture):
+        metric, E, R, start = fixture
+        brute = metric.between(E, R).min(axis=1) if len(R) else np.full(len(E), math.inf)
+        mins = start.copy()
+        with patch.object(features, "FOLD_CELLS", cells):
+            assert fold_min_distances(metric, E, R, mins) is mins
+        expected = np.minimum(start, brute)
+        if metric is euclid1d:
+            assert np.array_equal(mins, expected)
+            below = start < brute
+        else:
+            assert np.allclose(mins, expected, rtol=0.0, atol=1e-12)
+            below = start < brute - 1e-12
+        assert np.array_equal(mins[below], start[below])
+
+
+class TestFoldMemoryBound:
+    """No ``between`` call sees more than ``FOLD_CELLS`` distances, and the
+    greedy pick loop makes one call per pick."""
+
+    @pytest.fixture
+    def cells_seen(self, monkeypatch):
+        seen = []
+        between = FusedCosineMetric.between
+
+        def counting(metric, A, B):
+            seen.append(len(A) * len(B))
+            return between(metric, A, B)
+
+        monkeypatch.setattr(FusedCosineMetric, "between", counting)
+        return seen
+
+    @pytest.fixture
+    def data(self):
+        return generate_synthetic(SyntheticSpec(clusters=4, per_cluster=6), seed=1)
+
+    @pytest.mark.parametrize("cells", [1, 3, 7, 64, features.FOLD_CELLS])
+    def test_coverage_fold(self, cells_seen, data, cells):
+        metric = FusedCosineMetric(data.views)
+        coverage = Coverage(metric, data.instances)
+        with patch.object(features, "FOLD_CELLS", cells):
+            mins = coverage.fold(data.instances[:10]).copy()
+        assert cells_seen and max(cells_seen) <= cells
+        assert np.allclose(mins, metric.between(coverage.E, coverage.E[:10]).min(axis=1), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["random", "coreset"])
+    @pytest.mark.parametrize("cells", [1, 7, 64])
+    def test_hook_campaign(self, cells_seen, data, kind, cells):
+        cfg = CampaignConfig(strategy=StrategyConfig(kind=kind, views=data.views, seed=0), round_budgets=(3, 6, 9))
+        with patch.object(features, "FOLD_CELLS", cells):
+            curve, _ = run_campaign(cfg, data, covering_radius_hook(FusedCosineMetric(data.views)))
+        assert len(curve.points) == 4
+        assert cells_seen and max(cells_seen) <= cells
+
+    @pytest.mark.parametrize("cells", [1, 7, 64])
+    def test_greedy_rank_pool(self, cells_seen, data, cells):
+        labeled, pool = data.instances[:4], data.instances[4:]
+        coverage = Coverage(FusedCosineMetric(data.views), [*pool, *labeled])
+        cfg = StrategyConfig(kind="coreset", views=data.views, seed=0)
+        with patch.object(features, "FOLD_CELLS", cells):
+            coverage.fold(labeled)
+            assert len(list(rank_pool(pool, cfg, coverage=coverage))) == len(pool)
+        assert cells_seen and max(cells_seen) <= cells
+
+    def test_pick_loop_makes_one_call_per_pick(self, cells_seen, data):
+        labeled, pool = data.instances[:4], data.instances[4:]
+        coverage = Coverage(FusedCosineMetric(data.views), [*pool, *labeled])
+        coverage.fold(labeled)
+        cells_seen.clear()
+        # Each pick's row is folded into every pool row as the next pick
+        # is asked for; the full traversal asks once past the last pick.
+        picks = list(rank_pool(pool, StrategyConfig(kind="coreset", views=data.views, seed=0), coverage=coverage))
+        assert cells_seen == [len(pool)] * len(picks)

@@ -70,6 +70,8 @@ class TestValidateDataset:
             ({"aux_depths": (12.0, float("nan"))}, {}, "instance 0", "aux_depths"),
             ({}, {"depth": float("inf")}, "gt 1", "depth"),
             ({}, {"pixel_height": float("nan")}, "gt 1", "pixel_height"),
+            ({}, {"center": (float("nan"), float("inf"))}, "gt 1", "center2d"),
+            ({}, {"center": (10.0, float("-inf"))}, "gt 1", "center2d"),
         ],
     )
     def test_non_finite_scalars_flagged(self, record, gt, tag, field):

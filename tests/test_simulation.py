@@ -465,13 +465,13 @@ def split_by_order(records, order, k):
 
 class TestCoveringRadiusHook:
     @settings(deadline=None)
-    @given(fixture=labeling_orders(), block=st.sampled_from([1, 2, features.FOLD_BLOCK]))
-    def test_growing_labeled_sets_match_from_scratch(self, fixture, block):
+    @given(fixture=labeling_orders(), cells=st.sampled_from([1, 2, features.FOLD_CELLS]))
+    def test_growing_labeled_sets_match_from_scratch(self, fixture, cells):
         views, make_records, order, sizes = fixture
         records = make_records()
         metric = FusedCosineMetric(views)
         hook = covering_radius_hook(metric)
-        with patch.object(features, "FOLD_BLOCK", block):
+        with patch.object(features, "FOLD_CELLS", cells):
             for k in sizes:
                 labeled, pool = split_by_order(records, order, k)
                 assert abs(hook(labeled, pool) - covering_radius(labeled, pool, metric)) <= 1e-12
