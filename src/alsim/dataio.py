@@ -226,13 +226,17 @@ def _assemble(path: Path, header: dict, instances, gts, view_matrix) -> Dataset:
     for name, matrix in feature_rows.items():
         for r, row in zip(instances, matrix):
             r.features[name] = row
-    return Dataset(
+    dataset = Dataset(
         camera=camera,
         views=views,
         instances=tuple(instances),
         ground_truth=tuple(gts),
         images=_image_table(instances, gts),
     )
+    # The rows above are views of these matrices: ``Dataset.matrix`` hands
+    # them out instead of stacking the rows again.
+    dataset._matrices.update(feature_rows)
+    return dataset
 
 
 def load_dataset(path) -> Dataset:
@@ -322,8 +326,7 @@ def write_dataset(dataset: Dataset, manifest_path) -> None:
     blobs = {}
     for i, v in enumerate(dataset.views):
         name = _blob_name(i, v.name)
-        rows = np.array([r.features[v.name] for r in dataset.instances], dtype=np.float64)
-        write_blob(manifest_path.parent / name, rows.reshape(len(dataset.instances), v.dim))
+        write_blob(manifest_path.parent / name, dataset.matrix(v.name))
         blobs[v.name] = name
 
     header = {

@@ -104,12 +104,18 @@ class FusedCosineMetric:
         )
 
     def embed_views(self, matrices: Sequence[np.ndarray]) -> np.ndarray:
-        """``embed`` of one matrix per view, in ``views`` order, of any width (PCA)."""
-        blocks = []
+        """``embed`` of one matrix per view, in ``views`` order, of any width
+        (PCA). Each view's block is written in place into one ``E``, so the
+        only temporaries are the row norms."""
+        E = np.empty((len(matrices[0]), sum(X.shape[1] for X in matrices)))
+        col = 0
         for v, X in zip(self.views, matrices, strict=True):
+            block = E[:, col : col + X.shape[1]]
+            col += X.shape[1]
             norms = np.linalg.norm(X, axis=1, keepdims=True)
-            blocks.append(np.sqrt(v.lam) * (X / np.where(norms == 0.0, 1.0, norms)))
-        return np.hstack(blocks)
+            np.divide(X, np.where(norms == 0.0, 1.0, norms), out=block)
+            block *= np.sqrt(v.lam)
+        return E
 
     def between(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Fused distances between the rows of two embeddings, shape (len(A), len(B))."""
@@ -150,10 +156,13 @@ def fold_min_distances(metric, E: np.ndarray, R: np.ndarray, mins: np.ndarray) -
 
 
 class Coverage:
-    """Greedy k-center state: ``E``, one row per record (``metric.embed``
-    unless given), and ``mins``, each row's minimum distance to the
-    ``folded`` records (inf before any fold). Rows are keyed by the record:
-    records are eq=False, so they hash by identity. A fold goes through
+    """Greedy k-center state: ``E``, one row per record, and ``mins``, each
+    row's minimum distance to the ``folded`` records (inf before any fold).
+    ``E`` is ``metric.embed(records)`` unless given; a campaign gives the
+    embedding of its dataset's per-view matrices, so nothing is restacked,
+    and keeps one coverage per metric for its strategy and its
+    covering-radius hook to share. Rows are keyed by the record: records
+    are eq=False, so they hash by identity. A fold goes through
     ``fold_min_distances``, so it holds at most ``FOLD_CELLS`` distances at
     once, besides ``E`` and ``mins``, whatever the number of records."""
 

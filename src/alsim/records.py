@@ -88,8 +88,14 @@ class Dataset:
     """Immutable container for one feature export.
 
     ``images`` maps image id to its ground-truth object count, in
-    manifest order. The container is safe to share read-only across
-    workers; nothing here mutates after construction.
+    manifest order. ``matrix(name)`` is one view's features as a single
+    matrix in instance order. The loader hands over the matrices that its
+    records' rows are views of; any other dataset stacks a view's rows on
+    first use and keeps the result. That memo is the only thing that
+    changes after construction, and it only ever gains an entry equal to
+    the records' rows, so the container is safe to share read-only across
+    workers. Treat the matrices as read-only: the loader's are the
+    records' own feature rows.
     """
 
     camera: CameraModel
@@ -97,6 +103,19 @@ class Dataset:
     instances: tuple[InstanceRecord, ...]
     ground_truth: tuple[GroundTruthObject, ...]
     images: dict[str, int]
+    # Not an init field, so ``dataclasses.replace`` starts an empty memo.
+    _matrices: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+
+    def matrix(self, name: str) -> np.ndarray:
+        """The ``(len(instances), dim)`` float64 features of view ``name``,
+        one row per instance in instance order."""
+        m = self._matrices.get(name)
+        if m is None:
+            dim = self.view(name).dim
+            rows = [r.features[name] for r in self.instances]
+            m = np.array(rows, dtype=np.float64).reshape(len(self.instances), dim)
+            self._matrices[name] = m
+        return m
 
     def labelable_counts(self, min_px_height: float) -> dict[str, int]:
         """Per-image count of ground-truth objects tall enough to label."""

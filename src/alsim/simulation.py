@@ -190,27 +190,46 @@ def _round_seed(base: int, round_index: int, salt: int) -> int:
     return int(np.random.SeedSequence([base, round_index, salt]).generate_state(1)[0])
 
 
-def _split(
-    state: RoundState, records: Sequence[InstanceRecord]
-) -> tuple[list[InstanceRecord], list[InstanceRecord]]:
-    """(labeled, pool) of ``records``, each in ``records``' order. A record
-    is labeled when the ledger has its image seeded or its request matched."""
-    labeled: list[InstanceRecord] = []
-    pool: list[InstanceRecord] = []
-    for r in records:
-        (labeled if r.image_id in state.labeled_images or r.instance_id in state.matched_ids else pool).append(r)
-    return labeled, pool
+def _labeled_mask(state: RoundState, instances: Sequence[InstanceRecord]) -> np.ndarray:
+    """The ledger's labeled mask over ``instances``: a record is labeled
+    when its image was seeded or its request matched."""
+    return np.fromiter(
+        (r.image_id in state.labeled_images or r.instance_id in state.matched_ids for r in instances),
+        dtype=bool,
+        count=len(instances),
+    )
 
 
-def _coverage(cfg: CampaignConfig, data: Dataset, labeled: Sequence[InstanceRecord]) -> Coverage:
-    """The greedy strategy's coverage of ``data.instances``, PCA-compressed
-    if ``pca_var_keep`` is set, with ``labeled`` folded in."""
-    metric = FusedCosineMetric(cfg.strategy.views)
-    E = None
-    if cfg.pca_var_keep is not None:
-        E = metric.embed_views(compress_views(data.instances, cfg.strategy.views, cfg.pca_var_keep))
-    coverage = Coverage(metric, data.instances, E)
-    coverage.fold(labeled)
+def _split(labeled: np.ndarray, rows: np.ndarray) -> tuple[list[InstanceRecord], list[InstanceRecord]]:
+    """(labeled, pool) records of ``rows``, an object array of a dataset's
+    instances, under the mask ``labeled``; each in dataset order."""
+    return rows[labeled].tolist(), rows[~labeled].tolist()
+
+
+def _rows(data: Dataset) -> np.ndarray:
+    return np.fromiter(data.instances, dtype=object, count=len(data.instances))
+
+
+def _coverage(coverages: dict, data: Dataset, metric, pca_var_keep: float | None = None) -> Coverage:
+    """The coverage of ``data.instances`` under ``metric`` from ``coverages``,
+    built and stored there on first request with nothing folded.
+
+    A ``FusedCosineMetric`` is keyed by ``(views, pca_var_keep)``, so equal
+    keys share one coverage, and its ``E`` is embedded from the dataset's
+    per-view matrices, PCA-compressed first when ``pca_var_keep`` is set.
+    Any other metric is keyed by itself and embeds the records.
+    """
+    fused = isinstance(metric, FusedCosineMetric)
+    key = (metric.views, pca_var_keep) if fused else metric
+    coverage = coverages.get(key)
+    if coverage is None:
+        if not fused:
+            E = metric.embed(data.instances)
+        elif pca_var_keep is None:
+            E = metric.embed_views([data.matrix(v.name) for v in metric.views])
+        else:
+            E = metric.embed_views(compress_views(data.instances, metric.views, pca_var_keep))
+        coverage = coverages[key] = Coverage(metric, data.instances, E)
     return coverage
 
 
@@ -299,7 +318,8 @@ def run_round(
     elif oracle.round_index != state.round_index:
         raise ValueError(f"oracle index is at round {oracle.round_index}, state at round {state.round_index}")
     if cfg.strategy.kind in CORESET_KINDS and coverage is None:
-        coverage = _coverage(cfg, data, _split(state, data.instances)[0])
+        coverage = _coverage({}, data, FusedCosineMetric(cfg.strategy.views), cfg.pca_var_keep)
+        coverage.fold(_split(_labeled_mask(state, data.instances), _rows(data))[0])
     # Marked in progress until the loop ends, so an index left half
     # updated by an error is refused by the next round.
     oracle.round_index = None
@@ -308,10 +328,12 @@ def run_round(
     charged = 0
     round_seed = _round_seed(state.rng_seed, state.round_index, 1)
 
-    ranking = rank_pool(pool, cfg.strategy, coverage=coverage, seed=round_seed)
+    # Started only below the target, and left right after the charge that
+    # reaches it: a greedy ranking folds a pick only when asked for the next.
+    ranking = ()
+    if state.requested_total < target:
+        ranking = rank_pool(pool, cfg.strategy, coverage=coverage, seed=round_seed)
     for record, _score in ranking:
-        if state.requested_total + charged >= target:
-            break
         if record.pred_depth is None:
             raise ValueError(f"instance {record.instance_id}: pred_depth required to issue a request")
         priors = oracle.priors.setdefault((record.image_id, record.class_id), [])
@@ -345,6 +367,8 @@ def run_round(
         events.append(
             RequestEvent(state.round_index, record.instance_id, record.image_id, outcome, result.gt_id, True)
         )
+        if state.requested_total + charged >= target:
+            break
     oracle.round_index = state.round_index + 1
 
     matched = [ev for ev in events if ev.outcome == "matched"]
@@ -396,9 +420,16 @@ def run_campaign(
     fused-metric covering radius rather than a detector score. The hook
     always sees the dataset's own records, in dataset order.
 
-    A greedy campaign embeds (and PCA-compresses) ``data.instances`` once,
-    into one coverage that every round ranks from and that folds in each
-    round's new labels. Every campaign builds one ``OracleIndex`` after
+    The campaign keeps one labeled mask over the dataset's instances and
+    owns every coverage it needs, one per distinct key (see
+    ``_coverage``), each embedded once from ``data.matrix``: a greedy
+    strategy's, keyed by ``(strategy.views, pca_var_keep)`` and
+    PCA-compressed once when that is set, and a ``covering_radius_hook``'s,
+    keyed by ``(metric.views, None)``. With equal keys the two are one
+    coverage. Each round's newly labeled instances are folded once into
+    every coverage; the greedy strategy ranks from its coverage, and the
+    hook's value is the maximum of its coverage's distances, without a
+    call to the hook. Every campaign builds one ``OracleIndex`` after
     seeding, which each round updates with its requests.
     """
     validate_strategy_setup(cfg.strategy, list(data.instances))
@@ -423,12 +454,27 @@ def run_campaign(
         rng_seed=cfg.strategy.seed,
     )
 
-    labeled, pool = _split(state, data.instances)
-    points = [CurvePoint(0.0, float(performance_hook(labeled, pool)))]
+    rows = _rows(data)
+    mask = _labeled_mask(state, data.instances)
+    labeled, pool = _split(mask, rows)
 
-    greedy = pool and cfg.round_budgets and cfg.strategy.kind in CORESET_KINDS
-    coverage = _coverage(cfg, data, labeled) if greedy else None
+    coverages: dict = {}
+    coverage = None
+    if pool and cfg.round_budgets and cfg.strategy.kind in CORESET_KINDS:
+        coverage = _coverage(coverages, data, FusedCosineMetric(cfg.strategy.views), cfg.pca_var_keep)
+    if isinstance(performance_hook, _CoveringRadiusHook):
+        hook_coverage = _coverage(coverages, data, performance_hook.metric)
+
+        def measure(labeled, pool) -> float:
+            return float(hook_coverage.mins.max()) if labeled else math.inf
+    else:
+        measure = performance_hook
+    for c in coverages.values():
+        c.fold(labeled)
+
+    points = [CurvePoint(0.0, float(measure(labeled, pool)))]
     oracle = OracleIndex(data, state)
+    ids = np.fromiter((r.instance_id for r in data.instances), dtype=np.int64, count=len(data.instances))
 
     for _ in cfg.round_budgets:
         if not pool:
@@ -436,10 +482,13 @@ def run_campaign(
         state, log = run_round(state, data, cfg, pool, coverage, oracle)
         if log.charged == 0:
             break
-        labeled, pool = _split(state, data.instances)
-        if coverage is not None:
-            coverage.fold(labeled)
-        points.append(CurvePoint(float(state.requested_total), float(performance_hook(labeled, pool))))
+        # Rows of this round's matches, in dataset order as ``labeled`` lists them.
+        new = np.isin(ids, [ev.instance_id for ev in log.events if ev.outcome == "matched"]).nonzero()[0]
+        mask[new] = True
+        labeled, pool = _split(mask, rows)
+        for c in coverages.values():
+            c.fold(rows[new].tolist())
+        points.append(CurvePoint(float(state.requested_total), float(measure(labeled, pool))))
 
     return Curve(tuple(points)), state
 
@@ -459,37 +508,27 @@ def covering_radius(
     return float(Coverage(metric, [*labeled, *pool]).fold(labeled).max())
 
 
-@dataclass
+@dataclass(frozen=True)
 class _CoveringRadiusHook:
-    """State of ``covering_radius_hook``: the ``Coverage`` of the last
-    labeled + pool records it was called with."""
+    """``covering_radius_hook``'s hook: ``run_campaign`` recognises this
+    type and reads the value off the campaign's coverage instead."""
 
     metric: object
-    coverage: Coverage | None = None
 
     def __call__(self, labeled, pool) -> float:
-        if not len(labeled):
-            return math.inf
-        records = [*labeled, *pool]
-        c = self.coverage
-        if c is None or c.row_of.keys() != set(records) or not c.folded <= set(labeled):
-            c = self.coverage = Coverage(self.metric, records)
-        # In ``labeled``'s order, so reruns fold the same blocks.
-        return float(c.fold(labeled).max())
+        return covering_radius(labeled, pool, self.metric)
 
 
 def covering_radius_hook(metric) -> PerformanceHook:
     """Performance hook measuring the covering radius under ``metric``.
 
-    Equal to ``covering_radius`` on every call (up to rounding in the last
-    bits), but incremental: the first call embeds the instance set
-    (labeled + pool) into a ``Coverage``, and while later calls pass the
-    same set of records (matched by identity) with a labeled set that only
-    grew, only the newly labeled rows are folded in, in ``labeled``'s
-    order. Any other call starts over. Folds are tiled, so a call holds at
-    most ``features.FOLD_CELLS`` distances at once, whatever the number of
-    instances. The hook does not share a greedy strategy's coverage, whose
-    metric may differ.
+    Passed to ``run_campaign``, it is never called: the campaign keeps a
+    coverage for ``metric`` (shared with a greedy strategy whose views
+    are ``metric.views`` and that compresses nothing), embedded once and
+    folded with each round's new labels, and takes its maximum. Called
+    directly, it is a one-shot ``covering_radius``. Either way a fold is
+    tiled, so it holds at most ``features.FOLD_CELLS`` distances at once,
+    whatever the number of instances.
     """
     return _CoveringRadiusHook(metric)
 

@@ -113,6 +113,17 @@ class TestManifestRoundTrip:
         for name in blobs1:
             assert (m1.parent / name).read_bytes() == (m2.parent / name).read_bytes()
 
+    def test_loaded_matrices_are_the_records_rows(self, tmp_path, rng):
+        data = fixture_dataset(rng)
+        manifest = tmp_path / "manifest.jsonl"
+        write_dataset(data, manifest)
+        loaded = load_dataset(manifest)
+        for v in VIEWS:
+            m = loaded.matrix(v.name)
+            assert m.shape == (len(loaded.instances), v.dim)
+            assert all(np.shares_memory(m, r.features[v.name]) for r in loaded.instances)
+            assert np.array_equal(m, data.matrix(v.name).astype(np.float32))
+
     def test_load_is_deterministic_and_order_preserving(self, tmp_path, rng):
         data = fixture_dataset(rng)
         manifest = tmp_path / "manifest.jsonl"

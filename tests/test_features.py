@@ -341,6 +341,12 @@ class TestEmbedViews:
         metric = FusedCosineMetric(views)
         matrices = [np.array([r.features[v.name] for r in xs]).reshape(len(xs), v.dim) for v in views]
         assert np.array_equal(metric.embed(xs), metric.embed_views(matrices))
+        # The same arithmetic as scaled unit blocks built apart and stacked.
+        blocks = []
+        for v, X in zip(views, matrices):
+            norms = np.linalg.norm(X, axis=1, keepdims=True)
+            blocks.append(np.sqrt(v.lam) * (X / np.where(norms == 0.0, 1.0, norms)))
+        assert np.array_equal(metric.embed_views(matrices), np.hstack(blocks))
 
 
 class _CountingEuclid:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -113,3 +115,16 @@ class TestDatasetHelpers:
         assert data.view("a").dim == 2
         with pytest.raises(KeyError):
             data.view("missing")
+
+    def test_matrix_stacks_the_rows_once(self):
+        data = build_dataset([two_view_record(0), two_view_record(1)], [], views=VIEWS)
+        m = data.matrix("b")
+        assert m.dtype == np.float64
+        assert np.array_equal(m, np.stack([r.features["b"] for r in data.instances]))
+        assert data.matrix("b") is m
+        # A replaced dataset may hold other records: it stacks its own.
+        fewer = replace(data, instances=data.instances[:1])
+        assert fewer.matrix("b").shape == (1, 3)
+        assert build_dataset([], [], views=VIEWS).matrix("a").shape == (0, 2)
+        with pytest.raises(KeyError):
+            data.matrix("missing")

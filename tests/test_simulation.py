@@ -21,6 +21,8 @@ from alsim.simulation import (
     OracleIndex,
     RoundState,
     SyntheticSpec,
+    _labeled_mask,
+    _rows,
     _split,
     bagging_fraction,
     covering_radius,
@@ -32,6 +34,11 @@ from alsim.simulation import (
 )
 
 from conftest import build_dataset, euclid1d, make_gt, make_record, scalar_records
+
+
+def pool_of(state, data):
+    """The pool of unlabeled records that a campaign in ``state`` ranks."""
+    return _split(_labeled_mask(state, data.instances), _rows(data))[1]
 
 
 def decimal_exp(x: str, terms: int = 80) -> Decimal:
@@ -315,11 +322,11 @@ class TestRunRound:
         seeded = frozenset(["img0000"])
         state = RoundState(0, frozenset(g.gt_id for g in data.ground_truth if g.image_id in seeded), 0, seeded, seed)
         for _ in range(2):
-            state, _ = run_round(state, data, cfg, _split(state, data.instances)[1])
+            state, _ = run_round(state, data, cfg, pool_of(state, data))
         assert {"matched", "null"} <= {ev.outcome for log in state.history for ev in log.events}
 
         def next_events(s):
-            return run_round(s, data, cfg, _split(s, data.instances)[1])[1].events
+            return run_round(s, data, cfg, pool_of(s, data))[1].events
 
         events = next_events(state)
         assert any(ev.outcome == "suppressed" for ev in events)
@@ -542,19 +549,33 @@ class TestCoveringRadiusHook:
     def test_empty_labeled_is_infinite(self):
         assert covering_radius_hook(euclid1d)([], scalar_records([1.0])) == math.inf
 
-    def test_campaign_embeds_once(self):
-        data = generate_synthetic(small_spec(), seed=6)
-        calls = []
-
-        class CountingMetric(FusedCosineMetric):
-            def embed(self, recs):
-                calls.append(len(recs))
-                return super().embed(recs)
-
-        cfg = CampaignConfig(strategy=StrategyConfig(kind="random", seed=0), round_budgets=(3, 6, 9))
-        curve, _ = run_campaign(cfg, data, covering_radius_hook(CountingMetric(data.views)))
-        assert len(curve.points) == 4
-        assert calls == [len(data.instances)]
+    @settings(deadline=None, max_examples=20)
+    @given(
+        kind=st.sampled_from(["random", "coreset"]),
+        pca_var_keep=st.sampled_from([None, 0.99]),
+        clusters=st.integers(2, 6),
+        per_cluster=st.integers(1, 8),
+        seed=st.integers(0, 2**16),
+    )
+    def test_campaign_curve_matches_from_scratch(self, kind, pca_var_keep, clusters, per_cluster, seed):
+        # Inside a campaign the hook is never called: its value is read off
+        # the campaign's coverage, shared with a coreset strategy when PCA
+        # is off. Each point must still be the covering radius of the
+        # labels the ledger holds after that round.
+        data = generate_synthetic(small_spec(clusters, per_cluster), seed=seed)
+        cfg = CampaignConfig(
+            strategy=StrategyConfig(kind=kind, views=data.views, seed=seed),
+            round_budgets=(2, 5, 9),
+            initial_fraction=0.3,
+            pca_var_keep=pca_var_keep,
+        )
+        metric = FusedCosineMetric(data.views)
+        curve, state = run_campaign(cfg, data, covering_radius_hook(metric))
+        for k, point in enumerate(curve.points):
+            matched = {ev.instance_id for log in state.history[:k] for ev in log.events if ev.outcome == "matched"}
+            labeled = [r for r in data.instances if r.image_id in state.labeled_images or r.instance_id in matched]
+            pool = [r for r in data.instances if r not in labeled]
+            assert abs(point.y - covering_radius(labeled, pool, metric)) <= 1e-12
 
 
 class TestPcaOncePerCampaign:
@@ -624,24 +645,66 @@ class TestOneCoveragePerCampaign:
             rng_seed=cfg.strategy.seed,
         )
         for _ in cfg.round_budgets:
-            ref, log = run_round(ref, data, cfg, _split(ref, data.instances)[1], coverage=None)
+            ref, log = run_round(ref, data, cfg, pool_of(ref, data), coverage=None)
             if log.charged == 0:
                 break
         assert [log.events for log in ref.history] == [log.events for log in state.history]
 
-    def test_campaign_embeds_the_instances_once(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "kind,pca_var_keep,hook,embeddings",
+        [
+            ("coreset", None, False, 1),
+            ("coreset", None, True, 1),
+            ("coreset", 0.99, True, 2),
+            ("random", None, True, 1),
+        ],
+        ids=["coreset", "coreset-hook", "coreset-pca-hook", "random-hook"],
+    )
+    def test_one_embedding_per_distinct_key(self, monkeypatch, kind, pca_var_keep, hook, embeddings):
         calls = []
-        real = FusedCosineMetric.embed
+        real = FusedCosineMetric.embed_views
 
-        def counting(metric, records):
-            calls.append(len(records))
-            return real(metric, records)
+        def counting(metric, matrices):
+            calls.append(len(matrices[0]))
+            return real(metric, matrices)
 
-        monkeypatch.setattr(FusedCosineMetric, "embed", counting)
+        monkeypatch.setattr(FusedCosineMetric, "embed_views", counting)
         data = generate_synthetic(small_spec(), seed=5)
-        _, state = run_campaign(self.coreset_config(data), data, lambda lab, pool: float(len(lab)))
+        cfg = CampaignConfig(
+            strategy=StrategyConfig(kind=kind, views=data.views, seed=0),
+            round_budgets=(4, 8, 12),
+            pca_var_keep=pca_var_keep,
+        )
+        measure = covering_radius_hook(FusedCosineMetric(data.views)) if hook else lambda lab, pool: float(len(lab))
+        _, state = run_campaign(cfg, data, measure)
         assert len(state.history) == 3
-        assert calls == [len(data.instances)]
+        assert calls == [len(data.instances)] * embeddings
+
+    def test_round_pulls_no_pick_past_its_target(self, monkeypatch):
+        # Each charge that reaches a round's target ends the round, so the
+        # greedy ranking is never asked for (and never folds) one more pick:
+        # 9 one-row folds per round of 10 requests, not 10.
+        one_row = []
+        real = FusedCosineMetric.between
+
+        def counting(metric, A, B):
+            one_row.append(len(B) == 1)
+            return real(metric, A, B)
+
+        monkeypatch.setattr(FusedCosineMetric, "between", counting)
+        data = generate_synthetic(SyntheticSpec(8, 25), seed=1)
+        cfg = CampaignConfig(
+            strategy=StrategyConfig(kind="coreset", views=data.views, seed=1), round_budgets=(10, 20, 30)
+        )
+        _, state = run_campaign(cfg, data, lambda lab, pool: 0.0)
+        assert sum(one_row) == 27
+        # The requests the campaign made before this rule, pinned.
+        assert [[ev.instance_id for ev in log.events] for log in state.history] == [
+            [60, 1, 173, 124, 40, 127, 196, 20, 13, 164],
+            [18, 8, 152, 16, 4, 149, 61, 17, 132, 159],
+            [11, 19, 171, 156, 2, 52, 23, 12, 142, 15],
+        ]
+        assert {ev.outcome for log in state.history for ev in log.events} == {"matched"}
 
     def test_unnormalized_weights_warn_once_per_campaign(self, caplog):
         data = generate_synthetic(small_spec(), seed=5)
@@ -658,7 +721,7 @@ class TestOneCoveragePerCampaign:
         state = RoundState(0, frozenset(g.gt_id for g in data.ground_truth if g.image_id in labeled_images),
                            0, labeled_images, 0)
         cfg = self.coreset_config(data, pca_var_keep=0.99)
-        state, log = run_round(state, data, cfg, _split(state, data.instances)[1])
+        state, log = run_round(state, data, cfg, pool_of(state, data))
         assert log.charged == 4
 
 
@@ -691,7 +754,7 @@ class TestRunRoundProperties:
         state = RoundState(0, labeled_gt, 0, seeded, cfg.strategy.seed)
         charged_ids, matched_ids = [], set()
         for target in cfg.round_budgets:
-            new, log = run_round(state, data, cfg, _split(state, data.instances)[1])
+            new, log = run_round(state, data, cfg, pool_of(state, data))
             # A matched instance is labeled, so it leaves the pool for good.
             assert not {ev.instance_id for ev in log.events} & matched_ids
             matched_ids |= {ev.instance_id for ev in log.events if ev.outcome == "matched"}
@@ -778,7 +841,7 @@ class TestOracleIndex:
         seeded_gt = frozenset(g.gt_id for g in data.ground_truth if g.image_id in state.labeled_images)
         ref = RoundState(0, seeded_gt, 0, state.labeled_images, cfg.strategy.seed)
         for log in state.history:
-            ref, ref_log = run_round(ref, data, cfg, _split(ref, data.instances)[1])
+            ref, ref_log = run_round(ref, data, cfg, pool_of(ref, data))
             assert ref_log.events == log.events
         events = [ev for log in state.history for ev in log.events]
         assert [(ev.outcome, ev.gt_id) for ev in events] == full_scan_outcomes(data, cfg, state.history, seeded_gt)
@@ -822,7 +885,7 @@ class TestOracleIndex:
         assert oracle.round_index == 1
         with pytest.raises(ValueError, match="oracle index is at round 1, state at round 0"):
             run_round(state, data, cfg, list(data.instances), oracle=oracle)
-        _, log = run_round(new_state, data, cfg, _split(new_state, data.instances)[1], oracle=oracle)
+        _, log = run_round(new_state, data, cfg, pool_of(new_state, data), oracle=oracle)
         assert [ev.outcome for ev in log.events] == ["matched"]
 
 
