@@ -5,7 +5,9 @@ selection rounds against a ground-truth oracle. Every issued request is
 charged against the round's cumulative budget whether or not it matches
 an object; near-duplicate requests are skipped without charge. Matched
 objects move to the labeled set and their requesting instances join the
-strategy's reference set, one ``features.Coverage`` per campaign.
+reference set of every ``features.Coverage`` the campaign owns: one per
+distinct metric, shared by a greedy strategy and the covering-radius hook
+when their views agree.
 
 The oracle's per-image state is one ``OracleIndex`` per campaign: the
 charged requests by image and class, which duplicate suppression reads,
