@@ -11,8 +11,11 @@ per feature view. The manifest starts with a header line::
 followed by ``{"kind": "instance", ...}`` and ``{"kind": "gt", ...}``
 lines in any order. A raw export (``alsim ingest`` input) has the same
 lines with no ``blobs``; each instance line carries its vectors inline as
-``"features": {view_name: [...], ...}``. Both go through one line parser
-and one assembly step, so they are refused for the same faults. Blob
+``"features": {view_name: [...], ...}``; a view the header does not
+declare is refused. Both go through one line parser and one assembly
+step, so they are refused for the same faults. The assembly keeps one
+float64 matrix per view, and each loaded record's ``features`` reads its
+row of those matrices, so records hold no arrays of their own. Blob
 layout, bit-exact:
 
     magic ``ALF1`` | uint32 LE count | uint32 LE dim | count*dim float32 LE
@@ -29,6 +32,7 @@ import struct
 from array import array
 from collections import defaultdict
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +43,7 @@ from .records import (
     GroundTruthObject,
     InstanceRecord,
     ViewSpec,
+    _MatrixRow,
     _real,
     _whole,
     validate_dataset,
@@ -88,15 +93,18 @@ def _parse_views(header: dict) -> tuple[ViewSpec, ...]:
     return tuple(views)
 
 
-def _parse_instance(obj: dict, inline: dict[str, tuple[array, list[int]]]) -> InstanceRecord:
+def _parse_instance(
+    obj: dict, features: _MatrixRow, image_ids: dict[str, str], inline: dict[str, tuple[array, list[int]]]
+) -> InstanceRecord:
     box = obj["box2d"]
     aux = obj.get("aux_depths")
+    image_id = str(obj["image_id"])
     record = InstanceRecord(
-        image_id=str(obj["image_id"]),
+        image_id=image_ids.setdefault(image_id, image_id),
         instance_id=_whole(obj["instance_id"]),
         class_id=_whole(obj["class_id"]),
         box2d=Box2D(_real(box["cx"]), _real(box["cy"]), _real(box["w"]), _real(box["h"])),
-        features={},
+        features=features,
         pred_depth=None if obj.get("pred_depth") is None else _real(obj["pred_depth"]),
         confidence=None if obj.get("confidence") is None else _real(obj["confidence"]),
         aux_depths=None if aux is None else tuple(map(_real, aux)),
@@ -108,11 +116,12 @@ def _parse_instance(obj: dict, inline: dict[str, tuple[array, list[int]]]) -> In
     return record
 
 
-def _parse_gt(obj: dict) -> GroundTruthObject:
+def _parse_gt(obj: dict, image_ids: dict[str, str]) -> GroundTruthObject:
     cx, cy = obj["center2d"]
+    image_id = str(obj["image_id"])
     return GroundTruthObject(
         gt_id=_whole(obj["gt_id"]),
-        image_id=str(obj["image_id"]),
+        image_id=image_ids.setdefault(image_id, image_id),
         class_id=_whole(obj["class_id"]),
         center2d=(_real(cx), _real(cy)),
         depth=_real(obj["depth"]),
@@ -132,16 +141,30 @@ def _non_utf8_location(path: Path) -> str:
     return str(path)
 
 
-def _read_manifest(path: Path):
-    """Parse every line of a manifest or raw export.
+class _Manifest(NamedTuple):
+    """The parsed lines of a manifest or raw export.
 
-    Returns the header, the instance and gt records in file order, and the
-    ``features`` vectors that instance lines carry inline, as
-    ``{view: (flat float64 buffer, length of each line's vector)}``.
+    ``instances`` and ``gts`` are in file order and share one ``str`` per
+    distinct image id. Each instance's ``features`` reads its row of
+    ``matrices``, which ``_assemble`` fills in once the matrices are
+    checked. ``inline`` holds the ``features`` vectors that instance lines
+    carry, as ``{view: (flat float64 buffer, length of each line's vector)}``.
     """
+
+    header: dict
+    instances: list[InstanceRecord]
+    gts: list[GroundTruthObject]
+    matrices: dict[str, np.ndarray]
+    inline: dict[str, tuple[array, list[int]]]
+
+
+def _read_manifest(path: Path) -> _Manifest:
+    """Parse every line of a manifest or raw export."""
     header = None
     instances: list[InstanceRecord] = []
     gts: list[GroundTruthObject] = []
+    matrices: dict[str, np.ndarray] = {}
+    image_ids: dict[str, str] = {}
     inline: dict[str, tuple[array, list[int]]] = defaultdict(lambda: (array("d"), []))
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -167,9 +190,10 @@ def _read_manifest(path: Path):
                     raise DatasetError(f"{path}:{lineno}: unknown record kind {kind!r}")
                 try:
                     if kind == "instance":
-                        instances.append(_parse_instance(obj, inline))
+                        row = _MatrixRow(matrices, len(instances))
+                        instances.append(_parse_instance(obj, row, image_ids, inline))
                     else:
-                        gts.append(_parse_gt(obj))
+                        gts.append(_parse_gt(obj, image_ids))
                 except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise DatasetError(f"{path}:{lineno}: malformed {kind} line ({exc!r})") from exc
         except UnicodeDecodeError as exc:
@@ -177,7 +201,7 @@ def _read_manifest(path: Path):
             raise DatasetError(f"{_non_utf8_location(path)}: not UTF-8 text ({exc.reason})") from exc
     if header is None:
         raise DatasetError(f"{path}: manifest has no header line")
-    return header, instances, gts, inline
+    return _Manifest(header, instances, gts, matrices, inline)
 
 
 def _image_table(instances, gts) -> dict[str, int]:
@@ -192,26 +216,32 @@ def _image_table(instances, gts) -> dict[str, int]:
     return images
 
 
-def _assemble(path: Path, header: dict, instances, gts, view_matrix) -> Dataset:
+def _assemble(path: Path, m: _Manifest, view_matrix) -> Dataset:
     """Build a dataset from parsed lines and ``view_matrix(view)``, one
     (instances, dim) feature matrix per declared view.
 
-    Each matrix is checked once for shape and finiteness; the result is not
-    yet validated.
+    Each matrix is checked once for shape and finiteness and then stored in
+    ``m.matrices``, where the records' ``features`` read their rows; the
+    result is not yet validated.
     """
     try:
-        views = _parse_views(header)
-        cam = header.get("camera", {})
+        views = _parse_views(m.header)
+        cam = m.header.get("camera", {})
         camera = CameraModel(f_x=_real(cam["fx"]), f_y=_real(cam["fy"]))
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DatasetError(f"{path}: malformed header line ({exc!r})") from exc
+    declared = {v.name for v in views}
+    undeclared = [name for name in m.inline if name not in declared]
+    if undeclared:
+        raise DatasetError(
+            f"{path}: instance lines carry features of undeclared view(s) {', '.join(map(repr, undeclared))}"
+        )
 
-    feature_rows: dict[str, np.ndarray] = {}
     for v in views:
         matrix = view_matrix(v)
-        if matrix.shape[0] != len(instances):
+        if matrix.shape[0] != len(m.instances):
             raise DatasetError(
-                f"view {v.name!r}: {matrix.shape[0]} feature rows for {len(instances)} instances"
+                f"view {v.name!r}: {matrix.shape[0]} feature rows for {len(m.instances)} instances"
             )
         if matrix.shape[1] != v.dim:
             raise DatasetError(
@@ -219,23 +249,18 @@ def _assemble(path: Path, header: dict, instances, gts, view_matrix) -> Dataset:
             )
         if not np.isfinite(matrix).all():
             raise DatasetError(f"view {v.name!r}: non-finite feature values")
-        feature_rows[v.name] = matrix
+        m.matrices[v.name] = matrix
 
-    # The records are still private to the parser, which gave each an
-    # empty feature dict: fill it in place instead of rebuilding records.
-    for name, matrix in feature_rows.items():
-        for r, row in zip(instances, matrix):
-            r.features[name] = row
     dataset = Dataset(
         camera=camera,
         views=views,
-        instances=tuple(instances),
-        ground_truth=tuple(gts),
-        images=_image_table(instances, gts),
+        instances=tuple(m.instances),
+        ground_truth=tuple(m.gts),
+        images=_image_table(m.instances, m.gts),
     )
-    # The rows above are views of these matrices: ``Dataset.matrix`` hands
-    # them out instead of stacking the rows again.
-    dataset._matrices.update(feature_rows)
+    # ``Dataset.matrix`` hands out the matrices the records read their rows
+    # from instead of stacking the rows again.
+    dataset._matrices.update(m.matrices)
     return dataset
 
 
@@ -247,15 +272,15 @@ def load_dataset(path) -> Dataset:
     violation.
     """
     path = Path(path)
-    header, instances, gts, _ = _read_manifest(path)
-    blob_refs = header.get("blobs", {})
+    manifest = _read_manifest(path)
+    blob_refs = manifest.header.get("blobs", {})
 
     def blob_matrix(v: ViewSpec) -> np.ndarray:
         if v.name not in blob_refs:
             raise DatasetError(f"header declares view {v.name!r} but no blob reference")
         return read_blob(path.parent / blob_refs[v.name])
 
-    dataset = _assemble(path, header, instances, gts, blob_matrix)
+    dataset = _assemble(path, manifest, blob_matrix)
     violations = validate_dataset(dataset)
     if violations:
         raise DatasetError("invalid dataset: " + "; ".join(violations))
@@ -271,15 +296,15 @@ def read_raw_export(path) -> Dataset:
     ``validate_dataset`` violations themselves.
     """
     path = Path(path)
-    header, instances, gts, inline = _read_manifest(path)
+    manifest = _read_manifest(path)
 
     def inline_matrix(v: ViewSpec) -> np.ndarray:
-        flat, lengths = inline.get(v.name, (array("d"), []))
+        flat, lengths = manifest.inline.get(v.name, (array("d"), []))
         if lengths.count(v.dim) != len(lengths):
             raise DatasetError(f"view {v.name!r}: inline vectors differ from the declared dim {v.dim}")
         return np.frombuffer(flat, dtype=np.float64).reshape(len(lengths), v.dim)
 
-    return _assemble(path, header, instances, gts, inline_matrix)
+    return _assemble(path, manifest, inline_matrix)
 
 
 def _blob_name(index: int, view_name: str) -> str:

@@ -250,15 +250,12 @@ def pca_transform(m: PcaModel, X) -> np.ndarray:
     return (X - m.mean) @ m.components.T
 
 
-def compress_views(
-    records: Sequence[InstanceRecord], views: Sequence[ViewSpec], var_keep: float
-) -> list[np.ndarray]:
-    """PCA-compress each view over all given records jointly.
+def compress_views(matrices: Sequence[np.ndarray], var_keep: float) -> list[np.ndarray]:
+    """PCA-compress each view's (instances, dim) feature matrix.
 
-    Fits one model per view on the stacked feature matrix of ``records``
-    and returns that matrix projected, one (len(records), k_v) matrix per
-    view in ``views`` order, ready for ``FusedCosineMetric.embed_views``.
-    Each view keeps as many components as its variance cutoff needs.
+    Fits one model per matrix and returns that matrix projected, one
+    (instances, k_v) matrix per view in the given order, ready for
+    ``FusedCosineMetric.embed_views``. Each view keeps as many components
+    as its variance cutoff needs.
     """
-    matrices = [np.stack([r.features[v.name] for r in records]) for v in views]
     return [pca_transform(pca_fit(X, var_keep), X) for X in matrices]

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Mapping
 
 import numpy as np
 
@@ -51,7 +51,10 @@ class ViewSpec:
 class InstanceRecord:
     """One detector prediction in the unlabeled pool.
 
-    ``features`` maps view name to a float vector. ``pred_depth`` and
+    ``features`` maps view name to a float vector. A loaded record's
+    ``features`` is a read-only ``_MatrixRow`` over its dataset's per-view
+    matrices, so it holds no arrays of its own; a record built by hand may
+    pass any mapping, such as a dict. ``pred_depth`` and
     ``confidence`` may be absent; strategies that need them reject such
     pools at setup time. ``aux_depths`` holds depth predictions of
     auxiliary ensemble members already associated to this instance.
@@ -69,6 +72,36 @@ class InstanceRecord:
     @property
     def center(self) -> tuple[float, float]:
         return (self.box2d.cx, self.box2d.cy)
+
+
+class _MatrixRow(Mapping):
+    """Row ``row`` of each view's matrix in ``matrices``, read as a mapping
+    from view name to vector: ``self[name]`` is ``matrices[name][row]``, a
+    view of the matrix made on each read. The loader gives every record one,
+    over one dict that all its records share, in place of a dict of row
+    views per record."""
+
+    __slots__ = ("matrices", "row")
+
+    def __init__(self, matrices: Mapping[str, np.ndarray], row: int):
+        self.matrices = matrices
+        self.row = row
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.matrices[name][self.row]
+
+    def get(self, name: str, default=None):
+        m = self.matrices.get(name)
+        return default if m is None else m[self.row]
+
+    def __contains__(self, name) -> bool:
+        return name in self.matrices
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.matrices)
+
+    def __len__(self) -> int:
+        return len(self.matrices)
 
 
 @dataclass(frozen=True)
@@ -90,7 +123,8 @@ class Dataset:
     ``images`` maps image id to its ground-truth object count, in
     manifest order. ``matrix(name)`` is one view's features as a single
     matrix in instance order. The loader hands over the matrices that its
-    records' rows are views of; any other dataset stacks a view's rows on
+    records' ``features`` read their rows from; any other dataset, such as
+    a ``dataclasses.replace`` with other instances, stacks a view's rows on
     first use and keeps the result. That memo is the only thing that
     changes after construction, and it only ever gains an entry equal to
     the records' rows, so the container is safe to share read-only across

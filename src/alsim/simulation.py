@@ -227,10 +227,11 @@ def _coverage(coverages: dict, data: Dataset, metric, pca_var_keep: float | None
     if coverage is None:
         if not fused:
             E = metric.embed(data.instances)
-        elif pca_var_keep is None:
-            E = metric.embed_views([data.matrix(v.name) for v in metric.views])
         else:
-            E = metric.embed_views(compress_views(data.instances, metric.views, pca_var_keep))
+            matrices = [data.matrix(v.name) for v in metric.views]
+            if pca_var_keep is not None:
+                matrices = compress_views(matrices, pca_var_keep)
+            E = metric.embed_views(matrices)
         coverage = coverages[key] = Coverage(metric, data.instances, E)
     return coverage
 
@@ -268,9 +269,11 @@ class OracleIndex:
     def __init__(self, data: Dataset, state: RoundState):
         self.round_index: int | None = state.round_index
         self.priors: dict[tuple[str, int], list[tuple[tuple[float, float], int]]] = {}
-        for r in data.instances:
-            if r.instance_id in state.charged_ids:
-                self.priors.setdefault((r.image_id, r.class_id), []).append((r.center, r.class_id))
+        # No charges, as at every campaign's start: no instance to look up.
+        if state.charged_ids:
+            for r in data.instances:
+                if r.instance_id in state.charged_ids:
+                    self.priors.setdefault((r.image_id, r.class_id), []).append((r.center, r.class_id))
         by_image: dict[str, list[GroundTruthObject]] = {}
         for g in data.ground_truth:
             by_image.setdefault(g.image_id, []).append(g)

@@ -198,6 +198,16 @@ class TestIngest:
         assert "view 'v'" in capsys.readouterr().err
 
 
+    def test_undeclared_inline_view_exit_1(self, tmp_path, capsys):
+        lines = raw_lines()
+        lines[2]["features"]["zz"] = [3.0, 4.0]
+        raw = tmp_path / "raw.jsonl"
+        write_raw(raw, lines)
+        assert main(["ingest", "--input", str(raw), "--output", str(tmp_path / "out")]) == 1
+        assert "undeclared view(s) 'zz'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture
 def sim_setup(tmp_path):
     data = generate_synthetic(SyntheticSpec(clusters=4, per_cluster=6), seed=2)

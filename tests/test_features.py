@@ -312,7 +312,7 @@ class TestCompressViews:
     def test_distances_live_in_compressed_space(self, rng):
         views = (ViewSpec("a", 6, 1.0),)
         records = [make_record(i, features={"a": rng.normal(size=6)}) for i in range(20)]
-        compressed = compress_views(records, views, 1.0)
+        compressed = compress_views([np.stack([r.features["a"] for r in records])], 1.0)
         assert len(compressed) == len(views)
         assert compressed[0].shape[0] == len(records) and compressed[0].shape[1] <= 6
         # full-variance compression is an isometry, so cosine geometry may
@@ -324,7 +324,7 @@ class TestCompressViews:
     def test_matches_per_record_projection(self, rng):
         views = (ViewSpec("a", 6, 0.5), ViewSpec("b", 4, 0.5))
         records = [make_record(i, features={v.name: rng.normal(size=v.dim) for v in views}) for i in range(30)]
-        compressed = compress_views(records, views, 0.9)
+        compressed = compress_views([np.stack([r.features[v.name] for r in records]) for v in views], 0.9)
         for v, Z in zip(views, compressed):
             model = pca_fit(np.stack([r.features[v.name] for r in records]), 0.9)
             assert Z.shape == (len(records), model.k)

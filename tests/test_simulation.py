@@ -12,7 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alsim import features, simulation
-from alsim.features import FusedCosineMetric
+from alsim.dataio import load_dataset, write_dataset
+from alsim.features import FusedCosineMetric, pca_fit, pca_transform
 from alsim.geometry import match_request, suppress_duplicate
 from alsim.records import ViewSpec
 from alsim.selection import CORESET_KINDS, STRATEGY_KINDS, DepthFilters, StrategyConfig, ensemble_depth_variance
@@ -590,15 +591,29 @@ class TestPcaOncePerCampaign:
         calls = []
         real = simulation.compress_views
 
-        def counting(records, views, var_keep):
-            calls.append(len(records))
-            return real(records, views, var_keep)
+        def counting(matrices, var_keep):
+            calls.append(len(matrices[0]))
+            return real(matrices, var_keep)
 
         monkeypatch.setattr(simulation, "compress_views", counting)
         data = generate_synthetic(small_spec(), seed=5)
         _, state = run_campaign(self.pca_config(data), data, lambda lab, pool: float(len(lab)))
         assert len(state.history) == 3
         assert calls == [len(data.instances)]
+
+    def test_compressed_matrices_equal_the_record_stacked_ones(self, tmp_path):
+        # The campaign compresses the dataset's matrices, not a restack of
+        # its records' rows; both must give the same bits, loaded or not.
+        data = generate_synthetic(small_spec(clusters=6), seed=5)
+        write_dataset(data, tmp_path / "manifest.jsonl")
+        for d in (data, load_dataset(tmp_path / "manifest.jsonl")):
+            stacked = [np.stack([r.features[v.name] for r in d.instances]) for v in d.views]
+            expected = [pca_transform(pca_fit(X, 0.99), X) for X in stacked]
+            compressed = features.compress_views([d.matrix(v.name) for v in d.views], 0.99)
+            assert all(np.array_equal(a, b) for a, b in zip(compressed, expected, strict=True))
+            metric = FusedCosineMetric(d.views)
+            coverage = simulation._coverage({}, d, metric, 0.99)
+            assert np.array_equal(coverage.E, metric.embed_views(expected))
 
     def test_non_greedy_campaign_ignores_pca_var_keep(self, monkeypatch):
         monkeypatch.setattr(simulation, "compress_views", None)
@@ -872,6 +887,19 @@ class TestOracleIndex:
         edge = 50.0 + side * 20.0
         assert offered_on(edge) == ([[7]], [("matched", 7)])
         assert offered_on(float(np.nextafter(edge, side * math.inf))) == ([[]], [("null", None)])
+
+    def test_empty_ledger_skips_the_pass_over_instances(self):
+        class NoPass(tuple):
+            def __iter__(self):
+                raise AssertionError("passed over the instances")
+
+        data = build_dataset(
+            [make_record(i, center=(60.0 * (i + 1), 50.0), pred_depth=10.0) for i in range(2)],
+            [make_gt(100 + i, center=(60.0 * (i + 1), 50.0)) for i in range(2)],
+        )
+        assert OracleIndex(replace(data, instances=NoPass(data.instances)), fresh_state()).priors == {}
+        charged = replace(fresh_state(), charged_ids=frozenset({1}))
+        assert OracleIndex(data, charged).priors == {("img0", 0): [((120.0, 50.0), 0)]}
 
     def test_index_of_another_round_refused(self):
         data = build_dataset(
