@@ -20,7 +20,7 @@ from alsim.dataio import (
     write_blob,
     write_dataset,
 )
-from alsim.records import ViewSpec
+from alsim.records import ViewSpec, validate_dataset
 from alsim.simulation import SyntheticSpec, generate_synthetic
 
 from conftest import build_dataset, make_gt, make_record
@@ -206,6 +206,18 @@ class TestLoadedRecords:
             for v in VIEWS:
                 m = loaded.matrix(v.name)
                 assert all(np.shares_memory(m, r.features[v.name]) for r in loaded.instances)
+
+    def test_validation_reads_the_declared_views_of_loaded_rows(self, tmp_path, rng):
+        loaded = self.loaded(tmp_path, rng)
+        assert validate_dataset(loaded) == []
+        wider = replace(loaded, views=(ViewSpec("feat3", 4, 0.4), VIEWS[1]))
+        assert validate_dataset(wider) == [
+            f"instance {r.instance_id}: view 'feat3' has dimension (3,), declared 4" for r in loaded.instances
+        ]
+        extra = replace(loaded, views=VIEWS + (ViewSpec("feat9", 9, 0.0),))
+        assert validate_dataset(extra) == [
+            f"instance {r.instance_id}: missing feature view 'feat9'" for r in loaded.instances
+        ]
 
     def test_one_image_id_object_per_image(self, tmp_path, rng):
         loaded = self.loaded(tmp_path, rng)
