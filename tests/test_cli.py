@@ -197,7 +197,6 @@ class TestIngest:
         assert main(["ingest", "--input", str(raw), "--output", str(tmp_path / "out")]) == 1
         assert "view 'v'" in capsys.readouterr().err
 
-
     def test_undeclared_inline_view_exit_1(self, tmp_path, capsys):
         lines = raw_lines()
         lines[2]["features"]["zz"] = [3.0, 4.0]
