@@ -79,9 +79,8 @@ class _MatrixRow(Mapping):
     from view name to vector: ``self[name]`` is ``matrices[name][row]``, a
     view of the matrix made on each read. The loader gives every record one,
     over one dict that all its records share, in place of a dict of row
-    views per record. It checks that each matrix has one row per record,
-    so ``row`` is always in range and all rows of one dict have the same
-    shapes."""
+    views per record, and checks that each matrix has one row per record,
+    so ``row`` is always in range."""
 
     __slots__ = ("matrices", "row")
 
@@ -91,13 +90,6 @@ class _MatrixRow(Mapping):
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.matrices[name][self.row]
-
-    def get(self, name: str, default=None):
-        m = self.matrices.get(name)
-        return default if m is None else m[self.row]
-
-    def __contains__(self, name) -> bool:
-        return name in self.matrices
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.matrices)
@@ -218,7 +210,6 @@ def validate_dataset(d: Dataset) -> list[str]:
             violations.append(f"view {v.name!r}: lambda must be finite and >= 0, got {v.lam}")
 
     seen_ids: set[int] = set()
-    checked_matrices = None
     for r in d.instances:
         tag = f"instance {r.instance_id}"
         if r.instance_id in seen_ids:
@@ -237,21 +228,14 @@ def validate_dataset(d: Dataset) -> list[str]:
             violations.append(f"{tag}: aux_depths must be finite, got {r.aux_depths}")
         if r.confidence is not None and not 0.0 <= r.confidence <= 1.0:
             violations.append(f"{tag}: confidence must be in [0, 1], got {r.confidence}")
-        features = r.features
-        if type(features) is _MatrixRow and features.matrices is checked_matrices:
-            continue
-        before = len(violations)
         for v in d.views:
-            vec = features.get(v.name)
+            vec = r.features.get(v.name)
             if vec is None:
                 violations.append(f"{tag}: missing feature view {v.name!r}")
             elif vec.shape != (v.dim,):
                 violations.append(
                     f"{tag}: view {v.name!r} has dimension {vec.shape}, declared {v.dim}"
                 )
-        if type(features) is _MatrixRow and len(violations) == before:
-            # Every row of these matrices has the shape this one has.
-            checked_matrices = features.matrices
 
     seen_gt: set[int] = set()
     for g in d.ground_truth:
