@@ -29,10 +29,10 @@ from __future__ import annotations
 import json
 import re
 import struct
+import sys
 from array import array
 from collections import defaultdict
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -93,14 +93,11 @@ def _parse_views(header: dict) -> tuple[ViewSpec, ...]:
     return tuple(views)
 
 
-def _parse_instance(
-    obj: dict, features: _MatrixRow, image_ids: dict[str, str], inline: dict[str, tuple[array, list[int]]]
-) -> InstanceRecord:
+def _parse_instance(obj: dict, features: _MatrixRow, inline: dict[str, tuple[array, list[int]]]) -> InstanceRecord:
     box = obj["box2d"]
     aux = obj.get("aux_depths")
-    image_id = str(obj["image_id"])
     record = InstanceRecord(
-        image_id=image_ids.setdefault(image_id, image_id),
+        image_id=sys.intern(str(obj["image_id"])),
         instance_id=_whole(obj["instance_id"]),
         class_id=_whole(obj["class_id"]),
         box2d=Box2D(_real(box["cx"]), _real(box["cy"]), _real(box["w"]), _real(box["h"])),
@@ -116,12 +113,11 @@ def _parse_instance(
     return record
 
 
-def _parse_gt(obj: dict, image_ids: dict[str, str]) -> GroundTruthObject:
+def _parse_gt(obj: dict) -> GroundTruthObject:
     cx, cy = obj["center2d"]
-    image_id = str(obj["image_id"])
     return GroundTruthObject(
         gt_id=_whole(obj["gt_id"]),
-        image_id=image_ids.setdefault(image_id, image_id),
+        image_id=sys.intern(str(obj["image_id"])),
         class_id=_whole(obj["class_id"]),
         center2d=(_real(cx), _real(cy)),
         depth=_real(obj["depth"]),
@@ -141,30 +137,20 @@ def _non_utf8_location(path: Path) -> str:
     return str(path)
 
 
-class _Manifest(NamedTuple):
-    """The parsed lines of a manifest or raw export.
+def _read_manifest(path: Path):
+    """Parse every line of a manifest or raw export.
 
-    ``instances`` and ``gts`` are in file order and share one ``str`` per
-    distinct image id. Each instance's ``features`` reads its row of
-    ``matrices``, which ``_assemble`` fills in once the matrices are
-    checked. ``inline`` holds the ``features`` vectors that instance lines
-    carry, as ``{view: (flat float64 buffer, length of each line's vector)}``.
+    Returns the header, the instance and gt records in file order (their
+    image ids interned, so each image has one ``str``), the still empty
+    ``{view: matrix}`` dict whose rows the instances' ``features`` read,
+    which ``_assemble`` fills in, and the ``features`` vectors that
+    instance lines carry inline, as
+    ``{view: (flat float64 buffer, length of each line's vector)}``.
     """
-
-    header: dict
-    instances: list[InstanceRecord]
-    gts: list[GroundTruthObject]
-    matrices: dict[str, np.ndarray]
-    inline: dict[str, tuple[array, list[int]]]
-
-
-def _read_manifest(path: Path) -> _Manifest:
-    """Parse every line of a manifest or raw export."""
     header = None
     instances: list[InstanceRecord] = []
     gts: list[GroundTruthObject] = []
     matrices: dict[str, np.ndarray] = {}
-    image_ids: dict[str, str] = {}
     inline: dict[str, tuple[array, list[int]]] = defaultdict(lambda: (array("d"), []))
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -191,9 +177,9 @@ def _read_manifest(path: Path) -> _Manifest:
                 try:
                     if kind == "instance":
                         row = _MatrixRow(matrices, len(instances))
-                        instances.append(_parse_instance(obj, row, image_ids, inline))
+                        instances.append(_parse_instance(obj, row, inline))
                     else:
-                        gts.append(_parse_gt(obj, image_ids))
+                        gts.append(_parse_gt(obj))
                 except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise DatasetError(f"{path}:{lineno}: malformed {kind} line ({exc!r})") from exc
         except UnicodeDecodeError as exc:
@@ -201,7 +187,7 @@ def _read_manifest(path: Path) -> _Manifest:
             raise DatasetError(f"{_non_utf8_location(path)}: not UTF-8 text ({exc.reason})") from exc
     if header is None:
         raise DatasetError(f"{path}: manifest has no header line")
-    return _Manifest(header, instances, gts, matrices, inline)
+    return header, instances, gts, matrices, inline
 
 
 def _image_table(instances, gts) -> dict[str, int]:
@@ -216,22 +202,23 @@ def _image_table(instances, gts) -> dict[str, int]:
     return images
 
 
-def _assemble(path: Path, m: _Manifest, view_matrix) -> Dataset:
-    """Build a dataset from parsed lines and ``view_matrix(view)``, one
-    (instances, dim) feature matrix per declared view.
+def _assemble(path: Path, header: dict, instances, gts, matrices, inline, view_matrix) -> Dataset:
+    """Build a dataset from the parsed lines of ``_read_manifest`` and
+    ``view_matrix(view)``, one (instances, dim) feature matrix per declared
+    view.
 
     Each matrix is checked once for shape and finiteness and then stored in
-    ``m.matrices``, where the records' ``features`` read their rows; the
+    ``matrices``, where the records' ``features`` read their rows; the
     result is not yet validated.
     """
     try:
-        views = _parse_views(m.header)
-        cam = m.header.get("camera", {})
+        views = _parse_views(header)
+        cam = header.get("camera", {})
         camera = CameraModel(f_x=_real(cam["fx"]), f_y=_real(cam["fy"]))
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DatasetError(f"{path}: malformed header line ({exc!r})") from exc
     declared = {v.name for v in views}
-    undeclared = [name for name in m.inline if name not in declared]
+    undeclared = [name for name in inline if name not in declared]
     if undeclared:
         raise DatasetError(
             f"{path}: instance lines carry features of undeclared view(s) {', '.join(map(repr, undeclared))}"
@@ -239,9 +226,9 @@ def _assemble(path: Path, m: _Manifest, view_matrix) -> Dataset:
 
     for v in views:
         matrix = view_matrix(v)
-        if matrix.shape[0] != len(m.instances):
+        if matrix.shape[0] != len(instances):
             raise DatasetError(
-                f"view {v.name!r}: {matrix.shape[0]} feature rows for {len(m.instances)} instances"
+                f"view {v.name!r}: {matrix.shape[0]} feature rows for {len(instances)} instances"
             )
         if matrix.shape[1] != v.dim:
             raise DatasetError(
@@ -249,18 +236,18 @@ def _assemble(path: Path, m: _Manifest, view_matrix) -> Dataset:
             )
         if not np.isfinite(matrix).all():
             raise DatasetError(f"view {v.name!r}: non-finite feature values")
-        m.matrices[v.name] = matrix
+        matrices[v.name] = matrix
 
     dataset = Dataset(
         camera=camera,
         views=views,
-        instances=tuple(m.instances),
-        ground_truth=tuple(m.gts),
-        images=_image_table(m.instances, m.gts),
+        instances=tuple(instances),
+        ground_truth=tuple(gts),
+        images=_image_table(instances, gts),
     )
     # ``Dataset.matrix`` hands out the matrices the records read their rows
     # from instead of stacking the rows again.
-    dataset._matrices.update(m.matrices)
+    dataset._matrices.update(matrices)
     return dataset
 
 
@@ -272,15 +259,15 @@ def load_dataset(path) -> Dataset:
     violation.
     """
     path = Path(path)
-    manifest = _read_manifest(path)
-    blob_refs = manifest.header.get("blobs", {})
+    header, instances, gts, matrices, inline = _read_manifest(path)
+    blob_refs = header.get("blobs", {})
 
     def blob_matrix(v: ViewSpec) -> np.ndarray:
         if v.name not in blob_refs:
             raise DatasetError(f"header declares view {v.name!r} but no blob reference")
         return read_blob(path.parent / blob_refs[v.name])
 
-    dataset = _assemble(path, manifest, blob_matrix)
+    dataset = _assemble(path, header, instances, gts, matrices, inline, blob_matrix)
     violations = validate_dataset(dataset)
     if violations:
         raise DatasetError("invalid dataset: " + "; ".join(violations))
@@ -296,15 +283,15 @@ def read_raw_export(path) -> Dataset:
     ``validate_dataset`` violations themselves.
     """
     path = Path(path)
-    manifest = _read_manifest(path)
+    header, instances, gts, matrices, inline = _read_manifest(path)
 
     def inline_matrix(v: ViewSpec) -> np.ndarray:
-        flat, lengths = manifest.inline.get(v.name, (array("d"), []))
+        flat, lengths = inline.get(v.name, (array("d"), []))
         if lengths.count(v.dim) != len(lengths):
             raise DatasetError(f"view {v.name!r}: inline vectors differ from the declared dim {v.dim}")
         return np.frombuffer(flat, dtype=np.float64).reshape(len(lengths), v.dim)
 
-    return _assemble(path, manifest, inline_matrix)
+    return _assemble(path, header, instances, gts, matrices, inline, inline_matrix)
 
 
 def _blob_name(index: int, view_name: str) -> str:
