@@ -227,25 +227,40 @@ class TestLoadedRecords:
         assert set(by_image) == {"img0", "img1"}
 
     def test_retained_bytes_per_instance(self, tmp_path):
-        # Besides its 512 B of features, a loaded synthetic instance (with
-        # its ground-truth object) kept about 1590 B of Python objects
-        # alive when each record held a dict of four row arrays, and keeps
-        # about 920 B on CPython 3.11 now.
-        n = 2000
-        write_dataset(generate_synthetic(SyntheticSpec(clusters=80, per_cluster=25), seed=0), tmp_path / "m.jsonl")
-        load_dataset(tmp_path / "m.jsonl")  # warm up the parser's caches
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            loaded = load_dataset(tmp_path / "m.jsonl")
+        # The Python objects a loaded dataset keeps alive beyond its
+        # features are compared, in this process, with those of the same
+        # dataset whose records each hold a dict of row views. On CPython
+        # 3.11, at 2k synthetic instances with their ground-truth objects,
+        # that is about 920 B per instance against 1480 B; when the loader
+        # itself gave each record such a dict, the two were equal.
+        path = tmp_path / "m.jsonl"
+        write_dataset(generate_synthetic(SyntheticSpec(clusters=80, per_cluster=25), seed=0), path)
+        load_dataset(path)  # warm up the parser's caches
+
+        def with_row_dicts():
+            d = load_dataset(path)
+            rows = [
+                replace(r, features={v.name: d.matrix(v.name)[i] for v in d.views})
+                for i, r in enumerate(d.instances)
+            ]
+            return replace(d, instances=tuple(rows))
+
+        def retained_per_instance(build):
             gc.collect()
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert len(loaded.instances) == n
-        features = sum(loaded.matrix(v.name).nbytes for v in loaded.views)
-        assert (retained - features) / n < 1250
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                data = build()
+                gc.collect()
+                retained = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert len(data.instances) == 2000
+            features = sum(data.matrix(v.name).nbytes for v in data.views)
+            return (retained - features) / len(data.instances)
+
+        loaded = retained_per_instance(lambda: load_dataset(path))
+        assert loaded < 0.8 * retained_per_instance(with_row_dicts)
 
 
 class TestLoadErrors:
