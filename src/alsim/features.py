@@ -156,28 +156,26 @@ def fold_min_distances(metric, E: np.ndarray, R: np.ndarray, mins: np.ndarray) -
 
 
 class Coverage:
-    """Greedy k-center state: ``E``, one row per record, and ``mins``, each
-    row's minimum distance to the ``folded`` records (inf before any fold).
-    ``E`` is ``metric.embed(records)`` unless given; a campaign gives the
-    embedding of its dataset's per-view matrices, so nothing is restacked,
-    and keeps one coverage per metric for its strategy and its
-    covering-radius hook to share. Rows are keyed by the record: records
-    are eq=False, so they hash by identity. A fold goes through
+    """Greedy k-center state over the rows of one embedding ``E``: ``mins``,
+    each row's minimum distance to the ``folded`` rows (a mask; inf before
+    any fold). A campaign embeds its dataset's per-view matrices, so a row
+    is a dataset row, and keeps one coverage per metric for its strategy
+    and its covering-radius hook to share. A fold goes through
     ``fold_min_distances``, so it holds at most ``FOLD_CELLS`` distances at
-    once, besides ``E`` and ``mins``, whatever the number of records."""
+    once, besides ``E`` and ``mins``, whatever the number of rows."""
 
-    def __init__(self, metric, records: Sequence[InstanceRecord], E: np.ndarray | None = None):
+    def __init__(self, metric, E: np.ndarray):
         self.metric = metric
-        self.row_of = {r: i for i, r in enumerate(records)}
-        self.E = metric.embed(records) if E is None else E
-        self.mins = np.full(len(self.E), np.inf)
-        self.folded: set[InstanceRecord] = set()
+        self.E = E
+        self.mins = np.full(len(E), np.inf)
+        self.folded = np.zeros(len(E), dtype=bool)
 
-    def fold(self, records: Sequence[InstanceRecord]) -> np.ndarray:
-        """Fold the embedded ``records`` not folded yet, in order; return ``mins``."""
-        new = [r for r in records if r not in self.folded]
-        self.folded.update(new)
-        return fold_min_distances(self.metric, self.E, self.E[[self.row_of[r] for r in new]], self.mins)
+    def fold(self, rows) -> np.ndarray:
+        """Fold the ``rows`` of ``E`` not folded yet, in order; return ``mins``."""
+        rows = np.asarray(rows, dtype=np.intp)
+        new = rows[~self.folded[rows]]
+        self.folded[new] = True
+        return fold_min_distances(self.metric, self.E, self.E[new], self.mins)
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,10 @@ The diversity kinds (``coreset``, ``coreset_box3d``, ``ideal``) run
 greedy k-center (farthest-point) selection in a fused feature metric:
 repeatedly pick the pool instance with the largest minimum distance to
 the reference set, then fold the pick into the reference set. The pick
-loop starts from the pool's rows of a ``features.Coverage`` (embedded
-instances and their min distances to the labeled set), so a k-pick batch
-costs O(k * |pool|) distance evaluations and embeds nothing. The other
-kinds score their eligible records once and sort once.
+loop starts from the unfolded rows of a ``features.Coverage`` (the pool's
+rows and their min distances to the folded, labeled rows), so a k-pick
+batch costs O(k * |pool|) distance evaluations and embeds nothing. The
+other kinds score their eligible records once and sort once.
 """
 
 from __future__ import annotations
@@ -100,12 +100,14 @@ class StrategyConfig:
 
 
 def _farthest_first(coverage: Coverage, pool: Sequence[InstanceRecord]) -> Iterator[tuple[InstanceRecord, float]]:
-    """The greedy pick loop on a copy of ``pool``'s rows of ``coverage``: a
-    pick's entry is set to -inf, so it never wins again, and its row is
-    folded into the copied ``mins``."""
-    if not coverage.folded:
+    """The greedy pick loop on a copy of ``coverage``'s unfolded rows, which
+    are ``pool``'s rows in order: a pick's entry is set to -inf, so it
+    never wins again, and its row is folded into the copied ``mins``."""
+    if not coverage.folded.any():
         raise ValueError("labeled set must be nonempty")
-    rows = [coverage.row_of[r] for r in pool]
+    rows = np.flatnonzero(~coverage.folded)
+    if len(rows) != len(pool):
+        raise ValueError(f"pool has {len(pool)} records, coverage has {len(rows)} unfolded rows")
     ids = np.array([r.instance_id for r in pool], dtype=np.int64)
     E, mins = coverage.E[rows], coverage.mins[rows]
 
@@ -130,8 +132,8 @@ def iter_coreset_picks(
     instance_id. A full traversal costs O(|pool|^2) distance evaluations
     and a k-pick prefix O(k * |pool|).
     """
-    coverage = Coverage(dist, [*pool, *labeled])
-    coverage.fold(labeled)
+    coverage = Coverage(dist, dist.embed([*pool, *labeled]))
+    coverage.fold(range(len(pool), len(pool) + len(labeled)))
     return _farthest_first(coverage, pool)
 
 
@@ -249,12 +251,12 @@ def rank_pool(
 ) -> Iterator[tuple[InstanceRecord, float]]:
     """Yield (record, score) pairs best-first under the given strategy.
 
-    Greedy-diversity kinds rank lazily from ``coverage`` (covering the
-    pool, with the labeled set folded in; left unchanged) so callers can
-    stop as soon as a round budget is filled; the remaining kinds score
-    their eligible records once and sort by descending score, ties to the
-    lowest instance_id. ``seed`` overrides the config seed for per-round
-    randomness.
+    Greedy-diversity kinds rank lazily from ``coverage`` (left unchanged),
+    whose folded rows are the labeled set and whose unfolded rows are
+    ``pool``'s, in order, so callers can stop as soon as a round budget is
+    filled; the remaining kinds score their eligible records once and sort
+    by descending score, ties to the lowest instance_id. ``seed``
+    overrides the config seed for per-round randomness.
     """
     validate_strategy_setup(cfg, pool)
     if cfg.kind in CORESET_KINDS:

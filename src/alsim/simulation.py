@@ -4,8 +4,8 @@ A campaign seeds a random fraction of images as fully labeled, then runs
 selection rounds against a ground-truth oracle. Every issued request is
 charged against the round's cumulative budget whether or not it matches
 an object; near-duplicate requests are skipped without charge. Matched
-objects move to the labeled set and their requesting instances join the
-reference set of every ``features.Coverage`` the campaign owns: one per
+objects move to the labeled set and their requesting instances' dataset
+rows are folded into every ``features.Coverage`` the campaign owns: one per
 distinct metric, shared by a greedy strategy and the covering-radius hook
 when their views agree.
 
@@ -213,7 +213,7 @@ def _rows(data: Dataset) -> np.ndarray:
 
 
 def _coverage(coverages: dict, data: Dataset, metric, pca_var_keep: float | None = None) -> Coverage:
-    """The coverage of ``data.instances`` under ``metric`` from ``coverages``,
+    """The coverage of ``data``'s rows under ``metric`` from ``coverages``,
     built and stored there on first request with nothing folded.
 
     A ``FusedCosineMetric`` is keyed by ``(views, pca_var_keep)``, so equal
@@ -232,7 +232,7 @@ def _coverage(coverages: dict, data: Dataset, metric, pca_var_keep: float | None
             if pca_var_keep is not None:
                 matrices = compress_views(matrices, pca_var_keep)
             E = metric.embed_views(matrices)
-        coverage = coverages[key] = Coverage(metric, data.instances, E)
+        coverage = coverages[key] = Coverage(metric, E)
     return coverage
 
 
@@ -324,7 +324,7 @@ def run_round(
         raise ValueError(f"oracle index is at round {oracle.round_index}, state at round {state.round_index}")
     if cfg.strategy.kind in CORESET_KINDS and coverage is None:
         coverage = _coverage({}, data, FusedCosineMetric(cfg.strategy.views), cfg.pca_var_keep)
-        coverage.fold(_split(_labeled_mask(state, data.instances), _rows(data))[0])
+        coverage.fold(np.flatnonzero(_labeled_mask(state, data.instances)))
     # Marked in progress until the loop ends, so an index left half
     # updated by an error is refused by the next round.
     oracle.round_index = None
@@ -475,7 +475,7 @@ def run_campaign(
     else:
         measure = performance_hook
     for c in coverages.values():
-        c.fold(labeled)
+        c.fold(np.flatnonzero(mask))
 
     points = [CurvePoint(0.0, float(measure(labeled, pool)))]
     oracle = OracleIndex(data, state)
@@ -487,12 +487,12 @@ def run_campaign(
         state, log = run_round(state, data, cfg, pool, coverage, oracle)
         if log.charged == 0:
             break
-        # Rows of this round's matches, in dataset order as ``labeled`` lists them.
+        # Rows of this round's matches, in dataset order.
         new = np.isin(ids, [ev.instance_id for ev in log.events if ev.outcome == "matched"]).nonzero()[0]
         mask[new] = True
         labeled, pool = _split(mask, rows)
         for c in coverages.values():
-            c.fold(rows[new].tolist())
+            c.fold(new)
         points.append(CurvePoint(float(state.requested_total), float(measure(labeled, pool))))
 
     return Curve(tuple(points)), state
@@ -510,7 +510,7 @@ def covering_radius(
     """
     if not len(labeled):
         return math.inf
-    return float(Coverage(metric, [*labeled, *pool]).fold(labeled).max())
+    return float(Coverage(metric, metric.embed([*labeled, *pool])).fold(range(len(labeled))).max())
 
 
 @dataclass(frozen=True)

@@ -369,35 +369,34 @@ def brute_force_mins(records, labeled):
 
 class TestCoverage:
     def test_mins_are_infinite_before_any_fold(self):
-        coverage = Coverage(euclid1d, scalar_records([0.0, 2.0]))
+        coverage = Coverage(euclid1d, euclid1d.embed(scalar_records([0.0, 2.0])))
         assert coverage.mins.tolist() == [math.inf, math.inf]
-        assert coverage.folded == set()
+        assert not coverage.folded.any()
 
     def test_fold_skips_folded_records(self):
         records = scalar_records([0.0, 3.0, 7.0, 10.0])
         metric = _CountingEuclid()
-        coverage = Coverage(metric, records)
-        coverage.fold(records[:2])
+        coverage = Coverage(metric, euclid1d.embed(records))
+        coverage.fold([0, 1])
         assert metric.blocks == [2]
-        # Only the one record not folded yet reaches the metric.
-        mins = coverage.fold([records[1], records[2], records[0]])
+        # Only the one row not folded yet reaches the metric.
+        mins = coverage.fold([1, 2, 0])
         assert metric.blocks == [2, 1]
-        assert coverage.folded == set(records[:3])
+        assert coverage.folded.tolist() == [True, True, True, False]
         assert mins.tolist() == brute_force_mins(records, records[:3]).tolist()
-        coverage.fold(records[:3])
+        coverage.fold(range(3))
         assert metric.blocks == [2, 1]
 
     def test_given_embedding_is_used(self):
-        records = scalar_records([0.0, 1.0])
-        coverage = Coverage(euclid1d, records, E=np.array([[0.0], [5.0]]))
-        assert coverage.fold(records[:1]).tolist() == [0.0, 5.0]
+        coverage = Coverage(euclid1d, np.array([[0.0], [5.0]]))
+        assert coverage.fold([0]).tolist() == [0.0, 5.0]
 
     def test_record_in_labeled_and_pool_matches_covering_radius(self):
         records = scalar_records([0.0, 2.0, 5.0, 9.0])
         labeled = records[:2]
         pool = [records[2], records[1], records[3]]
-        coverage = Coverage(euclid1d, [*labeled, *pool])
-        mins = coverage.fold(labeled)
+        coverage = Coverage(euclid1d, euclid1d.embed([*labeled, *pool]))
+        mins = coverage.fold(range(len(labeled)))
         assert mins.tolist() == brute_force_mins([*labeled, *pool], labeled).tolist()
         assert mins.max() == covering_radius(labeled, pool, euclid1d) == 7.0
 
@@ -474,9 +473,9 @@ class TestFoldMemoryBound:
     @pytest.mark.parametrize("cells", [1, 3, 7, 64, features.FOLD_CELLS])
     def test_coverage_fold(self, cells_seen, data, cells):
         metric = FusedCosineMetric(data.views)
-        coverage = Coverage(metric, data.instances)
+        coverage = Coverage(metric, metric.embed(data.instances))
         with patch.object(features, "FOLD_CELLS", cells):
-            mins = coverage.fold(data.instances[:10]).copy()
+            mins = coverage.fold(range(10)).copy()
         assert cells_seen and max(cells_seen) <= cells
         assert np.allclose(mins, metric.between(coverage.E, coverage.E[:10]).min(axis=1), rtol=0.0, atol=1e-12)
 
@@ -491,18 +490,18 @@ class TestFoldMemoryBound:
 
     @pytest.mark.parametrize("cells", [1, 7, 64])
     def test_greedy_rank_pool(self, cells_seen, data, cells):
-        labeled, pool = data.instances[:4], data.instances[4:]
-        coverage = Coverage(FusedCosineMetric(data.views), [*pool, *labeled])
+        metric, pool = FusedCosineMetric(data.views), data.instances[4:]
+        coverage = Coverage(metric, metric.embed(data.instances))
         cfg = StrategyConfig(kind="coreset", views=data.views, seed=0)
         with patch.object(features, "FOLD_CELLS", cells):
-            coverage.fold(labeled)
+            coverage.fold(range(4))
             assert len(list(rank_pool(pool, cfg, coverage=coverage))) == len(pool)
         assert cells_seen and max(cells_seen) <= cells
 
     def test_pick_loop_makes_one_call_per_pick(self, cells_seen, data):
-        labeled, pool = data.instances[:4], data.instances[4:]
-        coverage = Coverage(FusedCosineMetric(data.views), [*pool, *labeled])
-        coverage.fold(labeled)
+        metric, pool = FusedCosineMetric(data.views), data.instances[4:]
+        coverage = Coverage(metric, metric.embed(data.instances))
+        coverage.fold(range(4))
         cells_seen.clear()
         # Each pick's row is folded into every pool row as the next pick
         # is asked for; the full traversal asks once past the last pick.

@@ -42,9 +42,9 @@ def greedy_oracle(pool, labeled, dist, k):
 
 
 def coverage_of(pool, labeled, metric):
-    """A coverage of pool + labeled with the labeled set folded in."""
-    coverage = Coverage(metric, [*pool, *labeled])
-    coverage.fold(labeled)
+    """A coverage of pool + labeled with the labeled rows folded in."""
+    coverage = Coverage(metric, metric.embed([*pool, *labeled]))
+    coverage.fold(range(len(pool), len(pool) + len(labeled)))
     return coverage
 
 
@@ -342,11 +342,19 @@ class TestRankPool:
         cfg = StrategyConfig(kind="coreset", views=(ViewSpec("v", 1, 1.0),))
         ranked = [(r.instance_id, score) for r, score in rank_pool(pool, cfg, coverage=coverage)]
         assert ranked == [(2, 9.0), (1, 4.0), (0, 1.0)]
-        assert np.array_equal(coverage.mins, mins) and coverage.folded == set(labeled)
+        assert np.array_equal(coverage.mins, mins) and coverage.folded.tolist() == [False, False, False, True]
         with pytest.raises(ValueError, match="needs a coverage"):
             next(rank_pool(pool, cfg))
         with pytest.raises(ValueError, match="labeled set must be nonempty"):
-            next(rank_pool(pool, cfg, coverage=Coverage(euclid1d, pool)))
+            next(rank_pool(pool, cfg, coverage=Coverage(euclid1d, euclid1d.embed(pool))))
+
+    def test_pool_must_be_the_unfolded_rows(self):
+        pool, labeled = scalar_records([1.0, 4.0, 9.0]), scalar_records([0.0], ids=[10])
+        coverage = coverage_of(pool, labeled, euclid1d)
+        cfg = StrategyConfig(kind="coreset", views=(ViewSpec("v", 1, 1.0),))
+        for wrong in (pool[:2], [*pool, *labeled]):
+            with pytest.raises(ValueError, match=f"pool has {len(wrong)} records, coverage has 3 unfolded rows"):
+                next(rank_pool(wrong, cfg, coverage=coverage))
 
 
 @st.composite
@@ -397,6 +405,26 @@ class TestRankPoolProperties:
         k = data.draw(st.integers(1, len(pool)))
         cfg = StrategyConfig(kind="coreset", views=(ViewSpec("v", 1, 1.0),))
         ranking = rank_pool(pool, cfg, coverage=coverage_of(pool, labeled, euclid1d))
+        assert [r.instance_id for r, _ in islice(ranking, k)] == greedy_oracle(pool, labeled, euclid1d, k)
+
+    @settings(deadline=None)
+    @given(
+        values=st.lists(st.integers(-4, 4), min_size=2, max_size=12),
+        data=st.data(),
+    )
+    def test_dataset_row_coverage_prefix_matches_oracle(self, values, data):
+        """A campaign's case: one coverage over every row, the labeled mask
+        drawn, so pool rows sit between labeled ones."""
+        records = scalar_records(values, ids=data.draw(st.permutations(range(len(values)))))
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values))))
+        assume(mask.any() and not mask.all())
+        pool = [r for r, m in zip(records, mask) if not m]
+        labeled = [r for r, m in zip(records, mask) if m]
+        coverage = Coverage(euclid1d, euclid1d.embed(records))
+        coverage.fold(np.flatnonzero(mask))
+        k = data.draw(st.integers(1, len(pool)))
+        cfg = StrategyConfig(kind="coreset", views=(ViewSpec("v", 1, 1.0),))
+        ranking = rank_pool(pool, cfg, coverage=coverage)
         assert [r.instance_id for r, _ in islice(ranking, k)] == greedy_oracle(pool, labeled, euclid1d, k)
 
 
