@@ -177,6 +177,11 @@ class Coverage:
         self.folded[new] = True
         return fold_min_distances(self.metric, self.E, self.E[new], self.mins)
 
+    def radius(self) -> float:
+        """The k-center objective: the largest ``mins`` of an unfolded row,
+        clamped at 0, so 0 once every row is folded."""
+        return float(self.mins.max(initial=0.0, where=~self.folded))
+
 
 @dataclass(frozen=True)
 class PcaModel:

@@ -431,11 +431,15 @@ def run_campaign(
     strategy's, keyed by ``(strategy.views, pca_var_keep)`` and
     PCA-compressed once when that is set, and a ``covering_radius_hook``'s,
     keyed by ``(metric.views, None)``. With equal keys the two are one
-    coverage. Each round's newly labeled instances are folded once into
-    every coverage; the greedy strategy ranks from its coverage, and the
-    hook's value is the maximum of its coverage's distances, without a
-    call to the hook. Every campaign builds one ``OracleIndex`` after
+    coverage. The labeled rows, and each round's newly labeled rows, are
+    folded once into every coverage; the greedy strategy ranks from its
+    coverage, and the hook's value is its coverage's ``radius``, without
+    a call to the hook. Every campaign builds one ``OracleIndex`` after
     seeding, which each round updates with its requests.
+
+    Raises:
+        ValueError: with a ``covering_radius_hook``, when no seeded image
+            holds an instance, before any round runs.
     """
     validate_strategy_setup(cfg.strategy, list(data.instances))
     missing_depth = [r.instance_id for r in data.instances if r.pred_depth is None]
@@ -468,10 +472,12 @@ def run_campaign(
     if pool and cfg.round_budgets and cfg.strategy.kind in CORESET_KINDS:
         coverage = _coverage(coverages, data, FusedCosineMetric(cfg.strategy.views), cfg.pca_var_keep)
     if isinstance(performance_hook, _CoveringRadiusHook):
+        if not labeled:
+            raise ValueError("the covering-radius curve needs a labeled set, and no seeded image holds an instance")
         hook_coverage = _coverage(coverages, data, performance_hook.metric)
 
         def measure(labeled, pool) -> float:
-            return float(hook_coverage.mins.max()) if labeled else math.inf
+            return hook_coverage.radius()
     else:
         measure = performance_hook
     for c in coverages.values():
@@ -503,14 +509,18 @@ def covering_radius(
     pool: Sequence[InstanceRecord],
     metric,
 ) -> float:
-    """Largest distance from any instance to its nearest labeled instance.
+    """Largest distance from a pool instance to its nearest labeled
+    instance, at least 0, and 0 for an empty pool; inf for an empty
+    labeled set.
 
-    The k-center objective over the full instance set; smaller is better.
+    The k-center objective (``Coverage.radius``); smaller is better.
     ``metric`` has ``embed`` and ``between``, like ``FusedCosineMetric``.
     """
     if not len(labeled):
         return math.inf
-    return float(Coverage(metric, metric.embed([*labeled, *pool])).fold(range(len(labeled))).max())
+    coverage = Coverage(metric, metric.embed([*labeled, *pool]))
+    coverage.fold(range(len(labeled)))
+    return coverage.radius()
 
 
 @dataclass(frozen=True)
@@ -530,7 +540,7 @@ def covering_radius_hook(metric) -> PerformanceHook:
     Passed to ``run_campaign``, it is never called: the campaign keeps a
     coverage for ``metric`` (shared with a greedy strategy whose views
     are ``metric.views`` and that compresses nothing), embedded once and
-    folded with each round's new labels, and takes its maximum. Called
+    folded with each round's new labels, and takes its radius. Called
     directly, it is a one-shot ``covering_radius``. Either way a fold is
     tiled, so it holds at most ``features.FOLD_CELLS`` distances at once,
     whatever the number of instances.

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from alsim import features, simulation
 from alsim.dataio import load_dataset, write_dataset
-from alsim.features import FusedCosineMetric, pca_fit, pca_transform
+from alsim.features import FusedCosineMetric, fused_distance, pca_fit, pca_transform
 from alsim.geometry import match_request, suppress_duplicate
 from alsim.records import ViewSpec
 from alsim.selection import CORESET_KINDS, STRATEGY_KINDS, DepthFilters, StrategyConfig, ensemble_depth_variance
@@ -419,6 +419,22 @@ class TestRunCampaign:
             if all(o == "matched" for o in outcomes):
                 assert state.requested_total == len(state.labeled_gt) - len(seeded)
 
+    @pytest.mark.parametrize("empty_seeded", [False, True], ids=["nothing_seeded", "empty_image_seeded"])
+    def test_covering_radius_hook_refuses_an_empty_labeled_set(self, empty_seeded):
+        if empty_seeded:
+            # Seed 0 seeds the second of the two images, which holds no instance.
+            instances = [make_record(i, center=(50.0 + 60 * i, 50.0), features={"v": [float(i)]}) for i in range(4)]
+            gts = [make_gt(100 + i, center=(50.0 + 60 * i, 50.0)) for i in range(4)] + [make_gt(200, "empty")]
+            data, fraction = build_dataset(instances, gts, views=(ViewSpec("v", 1, 1.0),)), 0.5
+        else:
+            data, fraction = generate_synthetic(small_spec(), seed=0), 0.0
+        cfg = CampaignConfig(StrategyConfig("random"), (2, 3, 4), initial_fraction=fraction)
+        rounds = []
+        with patch.object(simulation, "run_round", lambda *args: rounds.append(args)):
+            with pytest.raises(ValueError, match="covering-radius curve needs a labeled set"):
+                run_campaign(cfg, data, covering_radius_hook(FusedCosineMetric(data.views)))
+        assert rounds == []
+
     def test_coreset_campaign_with_pca(self):
         data = generate_synthetic(small_spec(), seed=5)
         cfg = CampaignConfig(
@@ -432,6 +448,27 @@ class TestRunCampaign:
         assert state.requested_total == 8
 
 
+@st.composite
+def radius_fixtures(draw):
+    """1-3 views (weights 0 included), and labeled (at least one) and pool
+    records whose vectors come from a palette of 1-3, so duplicate rows
+    come up, with some views zero."""
+    views = tuple(
+        ViewSpec(f"v{i}", draw(st.integers(1, 3)), draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])))
+        for i in range(draw(st.integers(1, 3)))
+    )
+
+    def vector(dim):
+        if draw(st.booleans()):
+            return np.zeros(dim)
+        return np.array(draw(st.lists(st.integers(-8, 8), min_size=dim, max_size=dim)), dtype=np.float64) / 4
+
+    palette = [{v.name: vector(v.dim) for v in views} for _ in range(draw(st.integers(1, 3)))]
+    records = [make_record(i, features=draw(st.sampled_from(palette))) for i in range(draw(st.integers(1, 9)))]
+    k = draw(st.integers(1, len(records)))
+    return views, records[:k], records[k:]
+
+
 class TestCoveringRadius:
     def test_hand_value(self):
         labeled = scalar_records([0.0], ids=[0])
@@ -440,6 +477,20 @@ class TestCoveringRadius:
 
     def test_empty_labeled_is_infinite(self):
         assert covering_radius([], scalar_records([1.0]), euclid1d) == math.inf
+
+    def test_fully_labeled_with_a_zero_view_is_zero(self):
+        views = (ViewSpec("a", 2, 0.5), ViewSpec("b", 2, 0.5))
+        x = make_record(0, features={"a": [0.0, 0.0], "b": [1.0, 0.0]})
+        y = make_record(1, features={"a": [1.0, 0.0], "b": [0.0, 1.0]})
+        assert covering_radius([x, y], [], FusedCosineMetric(views)) == 0.0
+
+    @settings(deadline=None)
+    @given(fixture=radius_fixtures())
+    def test_matches_brute_force_over_pool(self, fixture):
+        views, labeled, pool = fixture
+        brute = max((min(fused_distance(p, z, views) for z in labeled) for p in pool), default=0.0)
+        radius = covering_radius(labeled, pool, FusedCosineMetric(views))
+        assert radius >= 0.0 and abs(radius - max(brute, 0.0)) <= 1e-12
 
 
 @st.composite
