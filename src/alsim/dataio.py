@@ -12,7 +12,8 @@ followed by ``{"kind": "instance", ...}`` and ``{"kind": "gt", ...}``
 lines in any order. A raw export (``alsim ingest`` input) has the same
 lines with no ``blobs``; each instance line carries its vectors inline as
 ``"features": {view_name: [...], ...}``; a view the header does not
-declare is refused. Both go through one line parser and one assembly
+declare is refused, and so is an inline vector in a manifest, whose
+views are read from their blobs. Both go through one line parser and one assembly
 step, so they are refused for the same faults. The assembly keeps one
 float64 matrix per view, and each loaded record's ``features`` reads its
 row of those matrices, so records hold no arrays of their own. Blob
@@ -265,6 +266,8 @@ def load_dataset(path) -> Dataset:
     def blob_matrix(v: ViewSpec) -> np.ndarray:
         if v.name not in blob_refs:
             raise DatasetError(f"header declares view {v.name!r} but no blob reference")
+        if v.name in inline:
+            raise DatasetError(f"{path}: instance lines carry inline features of view {v.name!r}, which has a blob")
         return read_blob(path.parent / blob_refs[v.name])
 
     dataset = _assemble(path, header, instances, gts, matrices, inline, blob_matrix)

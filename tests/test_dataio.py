@@ -466,6 +466,13 @@ class TestLoadErrors:
         with pytest.raises(DatasetError, match="undeclared view\\(s\\) 'zz'"):
             load_dataset(manifest)
 
+    def test_inline_vector_of_a_blob_view_refused(self, tmp_path):
+        write_blob(tmp_path / "v.alf", [[1.0, 2.0]])
+        instance = dict(self._instance(0), features={"v": [7.0, 8.0, 9.0]})
+        manifest = self._write_manifest(tmp_path, [self._header({"v": "v.alf"}), instance])
+        with pytest.raises(DatasetError, match="inline features of view 'v', which has a blob"):
+            load_dataset(manifest)
+
     def test_missing_files_name_the_path(self, tmp_path):
         with pytest.raises(DatasetError, match="absent.jsonl: cannot read"):
             load_dataset(tmp_path / "absent.jsonl")
