@@ -146,7 +146,9 @@ def _resolve_views(view_names: list | None, kind: str, dataset: Dataset) -> tupl
 
 
 def _curve_lines(curve: Curve, provenance: str) -> str:
-    lines = [f"# {provenance}", "x,y"]
+    # A covering radius falls as labels are added: ``naurc`` ranks these
+    # curves lowest first.
+    lines = [f"# {provenance} better=lower", "x,y"]
     for p in curve.points:
         lines.append(f"{p.x!r},{p.y!r}")
     return "\n".join(lines) + "\n"
@@ -267,17 +269,28 @@ def cmd_simulate(args) -> int:
 # ----------------------------------------------------------------- naurc
 
 
-def read_curve_csv(path) -> Curve:
+def _read_curve(path) -> tuple[Curve, bool]:
+    """A curve CSV's curve, and whether lower is better: a ``#`` line
+    carrying the token ``better=lower``, as ``simulate`` writes. Any other
+    curve, such as detector AP, is higher-is-better."""
     pairs = []
+    lower = False
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.strip()
-        if not line or line.startswith("#") or line.lower().startswith("x,"):
+        if line.startswith("#"):
+            lower = lower or "better=lower" in line.split()
+            continue
+        if not line or line.lower().startswith("x,"):
             continue
         x_str, y_str = line.split(",")
         pairs.append((float(x_str), float(y_str)))
     if not pairs:
         raise ValueError(f"{path}: empty curve")
-    return Curve.from_pairs(pairs)
+    return Curve.from_pairs(pairs), lower
+
+
+def read_curve_csv(path) -> Curve:
+    return _read_curve(path)[0]
 
 
 def _method_names(paths) -> list[str]:
@@ -296,15 +309,26 @@ def cmd_naurc(args) -> int:
         return 2
     scored: list[tuple[str, float]] = []
     failed: list[str] = []
+    lower_is_better: dict[str, bool] = {}
     for path, method in zip(args.curves, _method_names(args.curves)):
         try:
-            value = naurc(read_curve_csv(path), args.budget)
-            scored.append((method, value))
+            curve, lower_is_better[method] = _read_curve(path)
+            scored.append((method, naurc(curve, args.budget)))
         except (OSError, ValueError) as exc:
             print(f"error: {method}: {exc}", file=sys.stderr)
             failed.append(method)
 
-    scored.sort(key=lambda mv: (-mv[1], mv[0]))
+    lower = [method for method, low in lower_is_better.items() if low]
+    if lower and len(lower) < len(lower_is_better):
+        higher = [method for method, low in lower_is_better.items() if not low]
+        print(
+            f"error: cannot rank lower-is-better curves ({', '.join(lower)}) "
+            f"with higher-is-better ones ({', '.join(higher)})",
+            file=sys.stderr,
+        )
+        return 2
+    # Best first in the curves' shared direction, ties by name.
+    scored.sort(key=lambda mv: (mv[1] if lower else -mv[1], mv[0]))
     lines = [f"# budget={args.budget!r}", "method,budget,naurc"]
     for method, value in scored:
         lines.append(f"{method},{args.budget!r},{value!r}")

@@ -504,8 +504,8 @@ class TestSimulate:
 
 
 class TestNaurc:
-    def write_curve(self, path, pairs):
-        path.write_text("x,y\n" + "\n".join(f"{x},{y}" for x, y in pairs) + "\n", encoding="utf-8")
+    def write_curve(self, path, pairs, comment=""):
+        path.write_text(comment + "x,y\n" + "\n".join(f"{x},{y}" for x, y in pairs) + "\n", encoding="utf-8")
 
     def test_constant_curve_scores_its_level(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
@@ -532,6 +532,35 @@ class TestNaurc:
         assert main(["naurc", "--curves", str(lo), str(hi), "--budget", "10"]) == 0
         out = capsys.readouterr().out
         assert out.index("hi,") < out.index("lo,")
+
+    def test_lower_is_better_curves_rank_lowest_first(self, tmp_path, capsys):
+        # Covering-radius curves as ``simulate`` writes them: the one that
+        # falls faster (NAURC 0.525 against 0.8) is the better one.
+        for name, pairs in (("fast", [(0, 0.9), (10, 0.5), (20, 0.2)]), ("slow", [(0, 0.9), (10, 0.8), (20, 0.7)])):
+            self.write_curve(tmp_path / f"{name}.csv", pairs, "# config=0123abcd seed=0 better=lower\n")
+        paths = [str(tmp_path / "slow.csv"), str(tmp_path / "fast.csv")]
+        assert main(["naurc", "--curves", *paths, "--budget", "20"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split(",")[0] for row in rows[2:]] == ["fast", "slow"]
+        assert float(rows[2].split(",")[2]) == pytest.approx(0.525)
+
+    def test_simulate_curve_and_external_curve_refused_together(self, sim_setup, capsys):
+        _, config_path, tmp_path = sim_setup
+        out = tmp_path / "runs"
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+        for rel in ("seed_0/curve.csv", "curve_mean.csv"):
+            assert (out / rel).read_text(encoding="utf-8").splitlines()[0].endswith(" better=lower")
+        capsys.readouterr()
+        baseline = tmp_path / "baseline.csv"
+        self.write_curve(baseline, [(0, 0.1), (20, 0.4)])
+        table = tmp_path / "table.csv"
+        args = ["naurc", "--curves", str(out / "curve_mean.csv"), str(baseline), "--budget", "8", "--out", str(table)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: cannot rank lower-is-better curves (curve_mean) with higher-is-better ones (baseline)\n"
+        )
+        assert not table.exists()
 
     def test_empty_curve_gets_error_row(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
