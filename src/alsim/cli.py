@@ -319,8 +319,8 @@ def cmd_naurc(args) -> int:
             failed.append(method)
 
     lower = [method for method, low in lower_is_better.items() if low]
-    if lower and len(lower) < len(lower_is_better):
-        higher = [method for method, low in lower_is_better.items() if not low]
+    higher = [method for method, low in lower_is_better.items() if not low]
+    if lower and higher:
         print(
             f"error: cannot rank lower-is-better curves ({', '.join(lower)}) "
             f"with higher-is-better ones ({', '.join(higher)})",

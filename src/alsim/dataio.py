@@ -13,11 +13,11 @@ lines in any order. A raw export (``alsim ingest`` input) has the same
 lines with no ``blobs``; each instance line carries its vectors inline as
 ``"features": {view_name: [...], ...}``; a view the header does not
 declare is refused, and so is an inline vector in a manifest, whose
-views are read from their blobs. Both go through one line parser and one assembly
-step, so they are refused for the same faults. The assembly keeps one
-float64 matrix per view, and each loaded record's ``features`` reads its
-row of those matrices, so records hold no arrays of their own. Blob
-layout, bit-exact:
+views are read from their blobs. Both go through one line parser and
+one assembly step, so they are refused for the same faults. The
+assembly keeps one float64 matrix per view, and each loaded record's
+``features`` reads its row of those matrices, so records hold no arrays
+of their own. Blob layout, bit-exact:
 
     magic ``ALF1`` | uint32 LE count | uint32 LE dim | count*dim float32 LE
 

@@ -8,7 +8,8 @@ zero) and Lambda = sum_v lam_v,
 
 where E concatenates the blocks sqrt(lam_v) * a_v, so ``FusedCosineMetric``
 embeds records once and takes distances as one matrix product. Views can
-optionally be PCA-compressed before they are embedded.
+optionally be PCA-compressed before they are embedded. ``Coverage`` holds
+greedy k-center state over the rows of one embedding, indexed by row.
 """
 
 from __future__ import annotations
