@@ -16,11 +16,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from .dataio import DatasetError, load_dataset, read_raw_export, write_dataset
-from .features import FusedCosineMetric
 from .metrics import Curve, naurc
 from .records import Dataset, ViewSpec, validate_dataset
 from .selection import CORESET_KINDS, STRATEGY_KINDS, DepthFilters, StrategyConfig
-from .simulation import CampaignConfig, _whole_numbers, covering_radius_hook, run_campaign
+from .simulation import CampaignConfig, _whole_numbers, run_campaign
 
 __all__ = ["main"]
 
@@ -80,11 +79,29 @@ def _write_atomically(files: dict[Path, str]) -> None:
             temp.unlink(missing_ok=True)
 
 
+# The documented keys of each object of a run configuration.
+_KNOWN_KEYS = {
+    "config": ("dataset", "strategy", "campaign", "seeds", "output"),
+    "strategy": ("kind", "views", "far_depth_filters"),
+    "far_depth_filters": ("min_px_height", "max_depth"),
+    "campaign": ("round_budgets", "H", "initial_fraction", "alpha", "delta", "min_px_height", "pca_var_keep"),
+}
+
+
+def _only_known_keys(obj: dict, name: str) -> None:
+    """Refuse a key of the config object ``name`` that it does not document."""
+    unknown = [k for k in obj if k not in _KNOWN_KEYS[name]]
+    if unknown:
+        raise _UsageError(f"{name}: unknown key {unknown[0]!r}; known keys: {', '.join(_KNOWN_KEYS[name])}")
+
+
 def _object(obj: dict, key: str) -> dict:
-    """``obj[key]``, default ``{}``; anything but a JSON object is refused."""
+    """``obj[key]``, default ``{}``; anything but a JSON object, or one
+    with an undocumented key, is refused."""
     value = obj.get(key, {})
     if not isinstance(value, dict):
         raise _UsageError(f"{key} must be a JSON object, got {value!r}")
+    _only_known_keys(value, key)
     return value
 
 
@@ -165,9 +182,13 @@ def cmd_simulate(args) -> int:
     try:
         if not isinstance(cfg_obj, dict):
             raise _UsageError("config must be a JSON object")
+        _only_known_keys(cfg_obj, "config")
         seeds = (args.seed,) if args.seed is not None else _whole_numbers("seeds", cfg_obj.get("seeds", [0]))
         if not seeds:
             raise _UsageError("config must list at least one seed")
+        repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+        if repeated:
+            raise _UsageError(f"seeds must not repeat, got {', '.join(map(str, repeated))} more than once")
         if min(seeds) < 0:
             named = "seeds" if args.seed is None else "--seed"
             raise _UsageError(f"{named} must be >= 0, got {', '.join(map(str, seeds))}")
@@ -209,15 +230,18 @@ def cmd_simulate(args) -> int:
         return 2
 
     out_dir = Path(args.out) if args.out else Path(output)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot write {out_dir}: {exc}", file=sys.stderr)
+        return 1
     chash = _config_hash(cfg_obj)
-    eval_metric = FusedCosineMetric(dataset.views)
 
     curves = []
     for seed in seeds:
         seeded = replace(ccfg, strategy=replace(ccfg.strategy, seed=seed))
         try:
-            curve, state = run_campaign(seeded, dataset, covering_radius_hook(eval_metric))
+            curve, state = run_campaign(seeded, dataset)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -259,9 +283,12 @@ def cmd_simulate(args) -> int:
         mean_pairs.append((sum(xs) / len(xs), sum(ys) / len(ys)))
     mean_curve = Curve.from_pairs(mean_pairs)
     seeds_str = ",".join(str(s) for s in seeds)
-    (out_dir / "curve_mean.csv").write_text(
-        _curve_lines(mean_curve, f"config={chash} seeds={seeds_str}"), encoding="utf-8"
-    )
+    try:
+        mean_text = _curve_lines(mean_curve, f"config={chash} seeds={seeds_str}")
+        _write_atomically({out_dir / "curve_mean.csv": mean_text})
+    except OSError as exc:
+        print(f"error: cannot write {out_dir}: {exc}", file=sys.stderr)
+        return 1
     print(out_dir)
     return 0
 
@@ -275,15 +302,18 @@ def _read_curve(path) -> tuple[Curve, bool]:
     curve, such as detector AP, is higher-is-better."""
     pairs = []
     lower = False
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if line.startswith("#"):
             lower = lower or "better=lower" in line.split()
             continue
         if not line or line.lower().startswith("x,"):
             continue
-        x_str, y_str = line.split(",")
-        pairs.append((float(x_str), float(y_str)))
+        try:
+            x_str, y_str = line.split(",")
+            pairs.append((float(x_str), float(y_str)))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: malformed curve row {line!r}, expected two numbers x,y") from None
     if not pairs:
         raise ValueError(f"{path}: empty curve")
     return Curve.from_pairs(pairs), lower

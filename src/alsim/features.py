@@ -160,8 +160,8 @@ class Coverage:
     """Greedy k-center state over the rows of one embedding ``E``: ``mins``,
     each row's minimum distance to the ``folded`` rows (a mask; inf before
     any fold). A campaign embeds its dataset's per-view matrices, so a row
-    is a dataset row, and keeps one coverage per metric for its strategy
-    and its covering-radius hook to share. A fold goes through
+    is a dataset row, and keeps one coverage per set of views for its
+    strategy and its covering-radius curve to share. A fold goes through
     ``fold_min_distances``, so it holds at most ``FOLD_CELLS`` distances at
     once, besides ``E`` and ``mins``, whatever the number of rows."""
 

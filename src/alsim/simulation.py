@@ -6,8 +6,8 @@ charged against the round's cumulative budget whether or not it matches
 an object; near-duplicate requests are skipped without charge. Matched
 objects move to the labeled set and their requesting instances' dataset
 rows are folded into every ``features.Coverage`` the campaign owns: one per
-distinct metric, shared by a greedy strategy and the covering-radius hook
-when their views agree.
+distinct set of views, shared by a greedy strategy and the campaign's own
+covering-radius curve when their views agree.
 
 The oracle's per-image state is one ``OracleIndex`` per campaign: the
 charged requests by image and class, which duplicate suppression reads,
@@ -47,7 +47,6 @@ __all__ = [
     "run_round",
     "run_campaign",
     "covering_radius",
-    "covering_radius_hook",
     "SyntheticSpec",
     "generate_synthetic",
 ]
@@ -212,27 +211,25 @@ def _rows(data: Dataset) -> np.ndarray:
     return np.fromiter(data.instances, dtype=object, count=len(data.instances))
 
 
-def _coverage(coverages: dict, data: Dataset, metric, pca_var_keep: float | None = None) -> Coverage:
-    """The coverage of ``data``'s rows under ``metric`` from ``coverages``,
-    built and stored there on first request with nothing folded.
+def _coverage(
+    coverages: dict, data: Dataset, views: Sequence[ViewSpec], pca_var_keep: float | None = None
+) -> Coverage:
+    """The coverage of ``data``'s rows under ``FusedCosineMetric(views)``
+    from ``coverages``, built and stored there on first request with
+    nothing folded.
 
-    A ``FusedCosineMetric`` is keyed by ``(views, pca_var_keep)``, so equal
-    keys share one coverage, and its ``E`` is embedded from the dataset's
-    per-view matrices, PCA-compressed first when ``pca_var_keep`` is set.
-    Any other metric is keyed by itself and embeds the records.
+    It is keyed by ``(tuple(views), pca_var_keep)``, so equal keys share
+    one coverage, and its ``E`` is embedded from the dataset's per-view
+    matrices, PCA-compressed first when ``pca_var_keep`` is set.
     """
-    fused = isinstance(metric, FusedCosineMetric)
-    key = (metric.views, pca_var_keep) if fused else metric
+    key = (tuple(views), pca_var_keep)
     coverage = coverages.get(key)
     if coverage is None:
-        if not fused:
-            E = metric.embed(data.instances)
-        else:
-            matrices = [data.matrix(v.name) for v in metric.views]
-            if pca_var_keep is not None:
-                matrices = compress_views(matrices, pca_var_keep)
-            E = metric.embed_views(matrices)
-        coverage = coverages[key] = Coverage(metric, E)
+        metric = FusedCosineMetric(views)
+        matrices = [data.matrix(v.name) for v in metric.views]
+        if pca_var_keep is not None:
+            matrices = compress_views(matrices, pca_var_keep)
+        coverage = coverages[key] = Coverage(metric, metric.embed_views(matrices))
     return coverage
 
 
@@ -323,7 +320,7 @@ def run_round(
     elif oracle.round_index != state.round_index:
         raise ValueError(f"oracle index is at round {oracle.round_index}, state at round {state.round_index}")
     if cfg.strategy.kind in CORESET_KINDS and coverage is None:
-        coverage = _coverage({}, data, FusedCosineMetric(cfg.strategy.views), cfg.pca_var_keep)
+        coverage = _coverage({}, data, cfg.strategy.views, cfg.pca_var_keep)
         coverage.fold(np.flatnonzero(_labeled_mask(state, data.instances)))
     # Marked in progress until the loop ends, so an index left half
     # updated by an error is refused by the next round.
@@ -413,33 +410,34 @@ PerformanceHook = Callable[[Sequence[InstanceRecord], Sequence[InstanceRecord]],
 def run_campaign(
     cfg: CampaignConfig,
     data: Dataset,
-    performance_hook: PerformanceHook,
+    performance_hook: PerformanceHook | None = None,
 ) -> tuple[Curve, RoundState]:
     """Run a full campaign and measure performance after every round.
 
     Labeling starts by marking ``initial_fraction`` of the images (chosen
     uniformly at random from the campaign seed) as fully labeled; the
     seeded labels are not charged to the budget, so the curve starts at
-    x = 0. The hook receives (labeled instances, remaining pool) and
-    returns the y value; at desk scale this is a surrogate such as the
-    fused-metric covering radius rather than a detector score. The hook
-    always sees the dataset's own records, in dataset order.
+    x = 0. Without a hook, the y value is the covering radius of the
+    pool under ``FusedCosineMetric(data.views)``, the k-center objective
+    of the greedy strategy. A hook receives (labeled instances, remaining
+    pool), the dataset's own records in dataset order, and returns the y
+    value instead, such as a detector score.
 
     The campaign keeps one labeled mask over the dataset's instances and
     owns every coverage it needs, one per distinct key (see
     ``_coverage``), each embedded once from ``data.matrix``: a greedy
     strategy's, keyed by ``(strategy.views, pca_var_keep)`` and
-    PCA-compressed once when that is set, and a ``covering_radius_hook``'s,
-    keyed by ``(metric.views, None)``. With equal keys the two are one
+    PCA-compressed once when that is set, and the covering radius's,
+    keyed by ``(data.views, None)``. With equal keys the two are one
     coverage. The labeled rows, and each round's newly labeled rows, are
     folded once into every coverage; the greedy strategy ranks from its
-    coverage, and the hook's value is its coverage's ``radius``, without
-    a call to the hook. Every campaign builds one ``OracleIndex`` after
-    seeding, which each round updates with its requests.
+    coverage, and the radius is read off its own. Every campaign builds
+    one ``OracleIndex`` after seeding, which each round updates with its
+    requests.
 
     Raises:
-        ValueError: with a ``covering_radius_hook``, when no seeded image
-            holds an instance, before any round runs.
+        ValueError: without a hook, when no seeded image holds an
+            instance, before any round runs.
     """
     validate_strategy_setup(cfg.strategy, list(data.instances))
     missing_depth = [r.instance_id for r in data.instances if r.pred_depth is None]
@@ -470,16 +468,16 @@ def run_campaign(
     coverages: dict = {}
     coverage = None
     if pool and cfg.round_budgets and cfg.strategy.kind in CORESET_KINDS:
-        coverage = _coverage(coverages, data, FusedCosineMetric(cfg.strategy.views), cfg.pca_var_keep)
-    if isinstance(performance_hook, _CoveringRadiusHook):
-        if not labeled:
-            raise ValueError("the covering-radius curve needs a labeled set, and no seeded image holds an instance")
-        hook_coverage = _coverage(coverages, data, performance_hook.metric)
+        coverage = _coverage(coverages, data, cfg.strategy.views, cfg.pca_var_keep)
+    if performance_hook is not None:
+        measure = performance_hook
+    elif not labeled:
+        raise ValueError("the covering-radius curve needs a labeled set, and no seeded image holds an instance")
+    else:
+        radius_coverage = _coverage(coverages, data, data.views)
 
         def measure(labeled, pool) -> float:
-            return hook_coverage.radius()
-    else:
-        measure = performance_hook
+            return radius_coverage.radius()
     for c in coverages.values():
         c.fold(np.flatnonzero(mask))
 
@@ -521,31 +519,6 @@ def covering_radius(
     coverage = Coverage(metric, metric.embed([*labeled, *pool]))
     coverage.fold(range(len(labeled)))
     return coverage.radius()
-
-
-@dataclass(frozen=True)
-class _CoveringRadiusHook:
-    """``covering_radius_hook``'s hook: ``run_campaign`` recognises this
-    type and reads the value off the campaign's coverage instead."""
-
-    metric: object
-
-    def __call__(self, labeled, pool) -> float:
-        return covering_radius(labeled, pool, self.metric)
-
-
-def covering_radius_hook(metric) -> PerformanceHook:
-    """Performance hook measuring the covering radius under ``metric``.
-
-    Passed to ``run_campaign``, it is never called: the campaign keeps a
-    coverage for ``metric`` (shared with a greedy strategy whose views
-    are ``metric.views`` and that compresses nothing), embedded once and
-    folded with each round's new labels, and takes its radius. Called
-    directly, it is a one-shot ``covering_radius``. Either way a fold is
-    tiled, so it holds at most ``features.FOLD_CELLS`` distances at once,
-    whatever the number of instances.
-    """
-    return _CoveringRadiusHook(metric)
 
 
 @dataclass(frozen=True)

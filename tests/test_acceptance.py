@@ -23,7 +23,6 @@ from alsim.simulation import (
     RoundState,
     SyntheticSpec,
     bagging_fraction,
-    covering_radius_hook,
     generate_synthetic,
     run_campaign,
     run_round,
@@ -225,7 +224,6 @@ def test_criterion_7_depth_bias_and_covering_radius():
     for seed in (0, 1, 2):
         data = generate_synthetic(spec, seed=seed)
         by_id = {r.instance_id: r for r in data.instances}
-        hook = covering_radius_hook(FusedCosineMetric(data.views))
         results = {}
         for kind in ("coreset", "random", "ens_depth_var"):
             views = data.views if kind == "coreset" else ()
@@ -234,7 +232,7 @@ def test_criterion_7_depth_bias_and_covering_radius():
                 round_budgets=budgets,
                 initial_fraction=0.1,
             )
-            curve, state = run_campaign(cfg, data, hook)
+            curve, state = run_campaign(cfg, data)
             assert state.requested_total == budgets[-1], f"{kind} did not reach the budget"
             depths = [
                 by_id[ev.instance_id].pred_depth

@@ -8,7 +8,9 @@ import pytest
 
 from alsim.cli import main, read_curve_csv
 from alsim.dataio import load_dataset, write_dataset
-from alsim.simulation import SyntheticSpec, generate_synthetic
+from alsim.features import FusedCosineMetric
+from alsim.selection import StrategyConfig
+from alsim.simulation import CampaignConfig, SyntheticSpec, covering_radius, generate_synthetic, run_campaign
 
 
 def raw_lines(duplicate_id=False):
@@ -263,6 +265,46 @@ class TestSimulate:
         assert "No space left on device" in capsys.readouterr().err
         assert {f.name: f.read_bytes() for f in seed_dir.iterdir()} == before
 
+    def test_unwritable_mean_curve_exit_1(self, sim_setup, capsys):
+        _, config_path, tmp_path = sim_setup
+        out = tmp_path / "runs"
+        (out / "curve_mean.csv").mkdir(parents=True)
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+        assert sorted(p.name for p in out.iterdir()) == ["curve_mean.csv", "seed_0", "seed_1", "seed_2"]
+
+    def test_out_that_is_a_file_exit_1(self, sim_setup, capsys):
+        _, config_path, tmp_path = sim_setup
+        out = tmp_path / "outfile"
+        out.write_text("kept\n", encoding="utf-8")
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+        assert out.read_text(encoding="utf-8") == "kept\n"
+
+    def test_curve_is_the_campaigns_own_covering_radius(self, sim_setup):
+        # The CLI passes no hook: its curve is run_campaign's built-in
+        # radius, and the last point is the covering radius of the labels
+        # its outputs record.
+        config, config_path, tmp_path = sim_setup
+        out = tmp_path / "runs"
+        assert main(["simulate", "--config", str(config_path), "--out", str(out), "--seed", "1"]) == 0
+        cli_curve = read_curve_csv(out / "seed_1" / "curve.csv")
+
+        data = load_dataset(Path(config["dataset"]))
+        cfg = CampaignConfig(StrategyConfig("random", seed=1), (4, 8), initial_fraction=0.25)
+        curve, _ = run_campaign(cfg, data)
+        assert [p.y for p in cli_curve.points] == [p.y for p in curve.points]
+
+        state = json.loads((out / "seed_1" / "state.json").read_text(encoding="utf-8"))
+        events = (out / "seed_1" / "rounds.jsonl").read_text(encoding="utf-8").splitlines()
+        matched = {ev["instance_id"] for ev in map(json.loads, events) if ev["outcome"] == "matched"}
+        labeled = [r for r in data.instances if r.image_id in state["labeled_images"] or r.instance_id in matched]
+        pool = [r for r in data.instances if r not in labeled]
+        radius = covering_radius(labeled, pool, FusedCosineMetric(data.views))
+        assert abs(cli_curve.points[-1].y - radius) <= 1e-12
+
     def test_short_seed_curve_logged_when_mean_is_cut(self, tmp_path, caplog):
         # img0001 keeps one instance: a seed that labels img0000 first
         # exhausts the pool after one round, one that labels img0001 runs
@@ -460,6 +502,42 @@ class TestSimulate:
         assert named in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "path, named",
+        [
+            (("extra",), "config: unknown key 'extra'"),
+            (("strategy", "veiws"), "strategy: unknown key 'veiws'"),
+            (("strategy", "far_depth_filters", "max_dpeth"), "far_depth_filters: unknown key 'max_dpeth'"),
+            (("campaign", "HH"), "campaign: unknown key 'HH'"),
+        ],
+        ids=["config", "strategy", "far_depth_filters", "campaign"],
+    )
+    def test_unknown_key_exit_2_before_the_load(self, sim_setup, capsys, path, named):
+        # The dataset is absent: an undocumented key, which the run would
+        # otherwise ignore, must be named (exit 2) before the load.
+        config, config_path, tmp_path = sim_setup
+        config["dataset"] = str(tmp_path / "absent.jsonl")
+        *parents, key = path
+        target = config
+        for name in parents:
+            target = target.setdefault(name, {})
+        target[key] = 3
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}; known keys: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_repeated_seed_exit_2(self, sim_setup, capsys):
+        config, config_path, tmp_path = sim_setup
+        config["seeds"] = [0, 2, 0, 1, 2]
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: seeds must not repeat, got 0, 2 more than once\n"
+        assert not out.exists()
+
     def test_negative_seed_override_exit_2(self, sim_setup, capsys):
         _, config_path, tmp_path = sim_setup
         out = tmp_path / "o"
@@ -569,6 +647,15 @@ class TestNaurc:
         captured = capsys.readouterr()
         assert "empty,10.0,error" in captured.out
         assert "empty curve" in captured.err
+
+    @pytest.mark.parametrize("row", ["10,2,3", "10,abc", "10"])
+    def test_malformed_row_named_by_line(self, tmp_path, capsys, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"# better=lower\nx,y\n0,1.0\n{row}\n", encoding="utf-8")
+        assert main(["naurc", "--curves", str(bad), "--budget", "10"]) == 0
+        captured = capsys.readouterr()
+        assert "bad,10.0,error" in captured.out
+        assert captured.err == f"error: bad: {bad}:4: malformed curve row {row!r}, expected two numbers x,y\n"
 
     def test_budget_below_first_knot_gets_error_row(self, tmp_path, capsys):
         late = tmp_path / "late.csv"

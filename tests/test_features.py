@@ -23,7 +23,6 @@ from alsim.simulation import (
     CampaignConfig,
     SyntheticSpec,
     covering_radius,
-    covering_radius_hook,
     generate_synthetic,
     run_campaign,
 )
@@ -484,7 +483,7 @@ class TestFoldMemoryBound:
     def test_hook_campaign(self, cells_seen, data, kind, cells):
         cfg = CampaignConfig(strategy=StrategyConfig(kind=kind, views=data.views, seed=0), round_budgets=(3, 6, 9))
         with patch.object(features, "FOLD_CELLS", cells):
-            curve, _ = run_campaign(cfg, data, covering_radius_hook(FusedCosineMetric(data.views)))
+            curve, _ = run_campaign(cfg, data)
         assert len(curve.points) == 4
         assert cells_seen and max(cells_seen) <= cells
 

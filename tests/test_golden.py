@@ -3,10 +3,11 @@ and covering-radius curves.
 
 Each run is ``run_campaign`` on ``generate_synthetic(SyntheticSpec(12, 20),
 seed=s)`` with round budgets (10, 25, 45, 70), the strategy seeded with s,
-and ``covering_radius_hook`` over all of the dataset's views. The digest
+and no hook, so the curve is the campaign's own covering radius over all
+of the dataset's views. The digest
 hashes every request event as ``round,instance_id,outcome,charged``, one
 line each, in campaign order; curve y values must match to 1e-9. A change
-that alters any pick, tie rule, outcome or hook value fails here.
+that alters any pick, tie rule, outcome or radius fails here.
 
 The crowded runs keep every third ground-truth object of
 ``generate_synthetic(SyntheticSpec(4, 60), seed=s)`` and go 12 rounds of
@@ -21,9 +22,8 @@ from dataclasses import replace
 
 import pytest
 
-from alsim.features import FusedCosineMetric
 from alsim.selection import StrategyConfig
-from alsim.simulation import CampaignConfig, SyntheticSpec, covering_radius_hook, generate_synthetic, run_campaign
+from alsim.simulation import CampaignConfig, SyntheticSpec, generate_synthetic, run_campaign
 
 # name: (strategy kind, pca_var_keep)
 RUNS = {
@@ -87,7 +87,7 @@ def test_same_picks_same_curves(name, seed):
         round_budgets=(10, 25, 45, 70),
         pca_var_keep=pca_var_keep,
     )
-    curve, state = run_campaign(cfg, data, covering_radius_hook(FusedCosineMetric(data.views)))
+    curve, state = run_campaign(cfg, data)
     digest, ys = PINNED[name, seed]
     assert events_digest(state) == digest
     assert [p.y for p in curve.points] == pytest.approx(ys, rel=1e-9, abs=1e-9)
@@ -142,7 +142,7 @@ def test_crowded_campaign_same_picks_same_curves(kind, seed):
         strategy=StrategyConfig(kind=kind, views=data.views if kind == "coreset" else (), seed=seed),
         round_budgets=tuple(range(8, 97, 8)),
     )
-    curve, state = run_campaign(cfg, data, covering_radius_hook(FusedCosineMetric(data.views)))
+    curve, state = run_campaign(cfg, data)
     assert sum(log.suppressed for log in state.history) > 0
     digest, ys = CROWDED[kind, seed]
     assert events_digest(state) == digest

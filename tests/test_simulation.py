@@ -8,7 +8,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alsim import features, simulation
@@ -27,7 +27,6 @@ from alsim.simulation import (
     _split,
     bagging_fraction,
     covering_radius,
-    covering_radius_hook,
     generate_synthetic,
     run_campaign,
     run_round,
@@ -432,7 +431,7 @@ class TestRunCampaign:
         rounds = []
         with patch.object(simulation, "run_round", lambda *args: rounds.append(args)):
             with pytest.raises(ValueError, match="covering-radius curve needs a labeled set"):
-                run_campaign(cfg, data, covering_radius_hook(FusedCosineMetric(data.views)))
+                run_campaign(cfg, data)
         assert rounds == []
 
     def test_coreset_campaign_with_pca(self):
@@ -493,113 +492,9 @@ class TestCoveringRadius:
         assert radius >= 0.0 and abs(radius - max(brute, 0.0)) <= 1e-12
 
 
-@st.composite
-def labeling_orders(draw):
-    """1-4 views (weights 0 included), 1-10 records with small exact
-    vectors (some rows zero), the order in which they get labeled and a
-    nondecreasing list of labeled-set sizes."""
-    views = tuple(
-        ViewSpec(f"v{i}", draw(st.integers(1, 3)), draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])))
-        for i in range(draw(st.integers(1, 4)))
-    )
-    n = draw(st.integers(1, 10))
-
-    def vector(dim):
-        if draw(st.booleans()):
-            return np.zeros(dim)
-        return np.array(draw(st.lists(st.integers(-8, 8), min_size=dim, max_size=dim)), dtype=np.float64) / 4
-
-    def records():
-        return [make_record(i, features={v.name: vector(v.dim) for v in views}) for i in range(n)]
-
-    sizes = sorted(draw(st.lists(st.integers(1, n), min_size=1, max_size=5)))
-    return views, records, draw(st.permutations(range(n))), sizes
-
-
-def split_by_order(records, order, k):
-    """The first k records of ``order`` as labeled, the rest as the pool."""
-    labeled = set(order[:k])
-    return [records[i] for i in order[:k]], [r for i, r in enumerate(records) if i not in labeled]
-
-
 class TestCoveringRadiusHook:
-    @settings(deadline=None)
-    @given(fixture=labeling_orders(), cells=st.sampled_from([1, 2, features.FOLD_CELLS]))
-    def test_growing_labeled_sets_match_from_scratch(self, fixture, cells):
-        views, make_records, order, sizes = fixture
-        records = make_records()
-        metric = FusedCosineMetric(views)
-        hook = covering_radius_hook(metric)
-        with patch.object(features, "FOLD_CELLS", cells):
-            for k in sizes:
-                labeled, pool = split_by_order(records, order, k)
-                assert abs(hook(labeled, pool) - covering_radius(labeled, pool, metric)) <= 1e-12
-
-    @settings(deadline=None)
-    @given(fixture=labeling_orders(), data=st.data())
-    def test_shrunk_labeled_set_matches_from_scratch(self, fixture, data):
-        views, make_records, order, sizes = fixture
-        records = make_records()
-        metric = FusedCosineMetric(views)
-        hook = covering_radius_hook(metric)
-        assume(len(records) > 1)
-        hook(*split_by_order(records, order, sizes[-1]))
-        dropped = data.draw(st.sampled_from(order[: sizes[-1]]))
-        others = [i for i in order if i != dropped]
-        kept = data.draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
-        labeled = [records[i] for i in kept]
-        pool = [r for i, r in enumerate(records) if i not in kept]
-        assert abs(hook(labeled, pool) - covering_radius(labeled, pool, metric)) <= 1e-12
-
-    @settings(deadline=None)
-    @given(fixture=labeling_orders(), data=st.data())
-    def test_pool_losing_a_record_while_labeled_grows_matches_from_scratch(self, fixture, data):
-        views, make_records, order, sizes = fixture
-        records = make_records()
-        metric = FusedCosineMetric(views)
-        hook = covering_radius_hook(metric)
-        assume(sizes[0] + 2 <= len(records))
-        hook(*split_by_order(records, order, sizes[0]))
-        labeled, pool = split_by_order(records, order, sizes[0] + 1)
-        gone = data.draw(st.sampled_from(pool))
-        pool = [r for r in pool if r is not gone]
-        assert abs(hook(labeled, pool) - covering_radius(labeled, pool, metric)) <= 1e-12
-
-    @settings(deadline=None)
-    @given(fixture=labeling_orders(), data=st.data())
-    def test_record_in_labeled_and_pool_matches_from_scratch(self, fixture, data):
-        views, make_records, order, sizes = fixture
-        records = make_records()
-        metric = FusedCosineMetric(views)
-        hook = covering_radius_hook(metric)
-        assume(sizes[0] + 2 <= len(records))
-        hook(*split_by_order(records, order, sizes[0]))
-        labeled, pool = split_by_order(records, order, sizes[0] + 1)
-        # A labeled record is listed in the pool too, in the place of a
-        # pool record that left or beside the whole pool: the count of
-        # records passed stays the same or grows.
-        twin = data.draw(st.sampled_from(labeled))
-        if data.draw(st.booleans()):
-            pool.remove(data.draw(st.sampled_from(pool)))
-        pool.insert(data.draw(st.integers(0, len(pool))), twin)
-        for _ in range(2):
-            assert abs(hook(labeled, pool) - covering_radius(labeled, pool, metric)) <= 1e-12
-
-    @settings(deadline=None)
-    @given(fixture=labeling_orders())
-    def test_second_dataset_with_same_ids_matches_from_scratch(self, fixture):
-        views, make_records, order, sizes = fixture
-        first, second = make_records(), make_records()
-        metric = FusedCosineMetric(views)
-        hook = covering_radius_hook(metric)
-        hook(*split_by_order(first, order, sizes[0]))
-        # Same instance ids and a labeled set that only grew by id, but
-        # other vectors: nothing folded for the first dataset may count.
-        labeled, pool = split_by_order(second, order, sizes[-1])
-        assert abs(hook(labeled, pool) - covering_radius(labeled, pool, metric)) <= 1e-12
-
-    def test_empty_labeled_is_infinite(self):
-        assert covering_radius_hook(euclid1d)([], scalar_records([1.0])) == math.inf
+    """The campaign's own covering-radius curve, measured when no hook is
+    given."""
 
     @settings(deadline=None, max_examples=20)
     @given(
@@ -610,10 +505,10 @@ class TestCoveringRadiusHook:
         seed=st.integers(0, 2**16),
     )
     def test_campaign_curve_matches_from_scratch(self, kind, pca_var_keep, clusters, per_cluster, seed):
-        # Inside a campaign the hook is never called: its value is read off
-        # the campaign's coverage, shared with a coreset strategy when PCA
-        # is off. Each point must still be the covering radius of the
-        # labels the ledger holds after that round.
+        # Without a hook the value is read off the campaign's coverage,
+        # shared with a coreset strategy when PCA is off. Each point must
+        # still be the covering radius of the labels the ledger holds
+        # after that round.
         data = generate_synthetic(small_spec(clusters, per_cluster), seed=seed)
         cfg = CampaignConfig(
             strategy=StrategyConfig(kind=kind, views=data.views, seed=seed),
@@ -622,7 +517,7 @@ class TestCoveringRadiusHook:
             pca_var_keep=pca_var_keep,
         )
         metric = FusedCosineMetric(data.views)
-        curve, state = run_campaign(cfg, data, covering_radius_hook(metric))
+        curve, state = run_campaign(cfg, data)
         for k, point in enumerate(curve.points):
             matched = {ev.instance_id for log in state.history[:k] for ev in log.events if ev.outcome == "matched"}
             labeled = [r for r in data.instances if r.image_id in state.labeled_images or r.instance_id in matched]
@@ -663,7 +558,7 @@ class TestPcaOncePerCampaign:
             compressed = features.compress_views([d.matrix(v.name) for v in d.views], 0.99)
             assert all(np.array_equal(a, b) for a, b in zip(compressed, expected, strict=True))
             metric = FusedCosineMetric(d.views)
-            coverage = simulation._coverage({}, d, metric, 0.99)
+            coverage = simulation._coverage({}, d, d.views, 0.99)
             assert np.array_equal(coverage.E, metric.embed_views(expected))
 
     def test_non_greedy_campaign_ignores_pca_var_keep(self, monkeypatch):
@@ -717,7 +612,7 @@ class TestOneCoveragePerCampaign:
         assert [log.events for log in ref.history] == [log.events for log in state.history]
 
     @pytest.mark.parametrize(
-        "kind,pca_var_keep,hook,embeddings",
+        "kind,pca_var_keep,radius,embeddings",
         [
             ("coreset", None, False, 1),
             ("coreset", None, True, 1),
@@ -726,7 +621,7 @@ class TestOneCoveragePerCampaign:
         ],
         ids=["coreset", "coreset-hook", "coreset-pca-hook", "random-hook"],
     )
-    def test_one_embedding_per_distinct_key(self, monkeypatch, kind, pca_var_keep, hook, embeddings):
+    def test_one_embedding_per_distinct_key(self, monkeypatch, kind, pca_var_keep, radius, embeddings):
         calls = []
         real = FusedCosineMetric.embed_views
 
@@ -741,7 +636,7 @@ class TestOneCoveragePerCampaign:
             round_budgets=(4, 8, 12),
             pca_var_keep=pca_var_keep,
         )
-        measure = covering_radius_hook(FusedCosineMetric(data.views)) if hook else lambda lab, pool: float(len(lab))
+        measure = None if radius else lambda lab, pool: float(len(lab))
         _, state = run_campaign(cfg, data, measure)
         assert len(state.history) == 3
         assert calls == [len(data.instances)] * embeddings
