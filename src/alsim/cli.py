@@ -1,6 +1,7 @@
 """Command-line entry points: ingest, simulate, naurc.
 
-Exit codes: 0 success, 1 data error, 2 usage error.
+Exit codes: 0 success, 1 unusable data, failed campaign or unwritable
+output, 2 usage error.
 """
 
 from __future__ import annotations
@@ -31,19 +32,41 @@ def _config_hash(obj) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
+class _UsageError(Exception):
+    """A bad command line or run configuration: exit 2."""
+
+
+class _RunError(Exception):
+    """A failed campaign, an empty export or an unwritable output: exit 1."""
+
+
+def _write_atomically(directory: Path, texts: dict[str, str]) -> None:
+    """Make ``directory`` and write each text to its named file there.
+    Every text goes to a temporary file beside its file before any is
+    moved into place, so a failed write leaves no file with partial
+    contents; the failure is raised as ``cannot write <directory>``."""
+    temps: dict[Path, Path] = {}
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            temps[directory / name] = temp = directory / f"{name}.tmp"
+            temp.write_text(text, encoding="utf-8")
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    except OSError as exc:
+        raise _RunError(f"cannot write {directory}: {exc}") from None
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+
+
 # ---------------------------------------------------------------- ingest
 
 
 def cmd_ingest(args) -> int:
-    try:
-        dataset = read_raw_export(args.input)
-    except DatasetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    dataset = read_raw_export(args.input)
     if not dataset.instances:
-        print("error: empty dataset (no instance records)", file=sys.stderr)
-        return 1
+        raise _RunError("empty dataset (no instance records)")
     violations = validate_dataset(dataset)
     if violations:
         for v in violations:
@@ -51,32 +74,16 @@ def cmd_ingest(args) -> int:
         return 1
 
     out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = out_dir / "manifest.jsonl"
-    write_dataset(dataset, manifest)
+    try:
+        write_dataset(dataset, manifest)
+    except OSError as exc:
+        raise _RunError(f"cannot write {out_dir}: {exc}") from None
     print(manifest)
     return 0
 
 
 # -------------------------------------------------------------- simulate
-
-
-class _UsageError(Exception):
-    pass
-
-
-def _write_atomically(files: dict[Path, str]) -> None:
-    """Write each text to a temporary file beside its path, then move each
-    into place, so a failed write leaves no file with partial contents."""
-    temps = {path: path.with_name(path.name + ".tmp") for path in files}
-    try:
-        for path, text in files.items():
-            temps[path].write_text(text, encoding="utf-8")
-        for path, temp in temps.items():
-            os.replace(temp, path)
-    finally:
-        for temp in temps.values():
-            temp.unlink(missing_ok=True)
 
 
 # The documented keys of each object of a run configuration.
@@ -105,29 +112,37 @@ def _object(obj: dict, key: str) -> dict:
     return value
 
 
-def _number(obj: dict, key: str, default: float | None) -> float | None:
-    """``obj[key]`` as a float, ``default`` when absent or null; a string,
+def _required(obj: dict, name: str, key: str):
+    """``obj[key]``; a key absent from the config object ``name`` is refused."""
+    if key not in obj:
+        raise _UsageError(f"{name}: missing key {key!r}")
+    return obj[key]
+
+
+def _numbers(obj: dict, keys) -> dict[str, float]:
+    """The numbers ``obj`` sets among ``keys``, as floats. A null or absent
+    key is left out, so its field keeps its dataclass default; a string,
     list, object, boolean, NaN or infinity is refused with a message
     naming the key."""
-    value = obj.get(key)
-    if value is None:
-        return default
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _UsageError(f"{key} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # a JSON integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise _UsageError(f"{key} must be a finite number, got {number!r}")
-    return number
+    numbers = {}
+    for key in keys:
+        value = obj.get(key)
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise _UsageError(f"{key} must be a number, got {value!r}")
+        try:
+            number = float(value)
+        except OverflowError:  # a JSON integer beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise _UsageError(f"{key} must be a finite number, got {number!r}")
+        numbers[key] = number
+    return numbers
 
 
-def _string(obj: dict, key: str, default: str | None = None) -> str:
-    """``obj[key]``, or ``default`` when one is given and the key is
-    absent; anything but a JSON string is refused with a message naming
-    the key."""
-    value = obj[key] if default is None else obj.get(key, default)
+def _string(key: str, value) -> str:
+    """``value``, refused with a message naming ``key`` unless it is a JSON string."""
     if not isinstance(value, str):
         raise _UsageError(f"{key} must be a string, got {value!r}")
     return value
@@ -136,7 +151,7 @@ def _string(obj: dict, key: str, default: str | None = None) -> str:
 def _strategy_keys(cfg: dict) -> tuple[str, list | None, DepthFilters]:
     """The ``strategy`` object's kind, view names (None when absent) and
     depth filters, checked without the dataset."""
-    kind = cfg.get("kind")
+    kind = _required(cfg, "strategy", "kind")
     if kind not in STRATEGY_KINDS:
         raise _UsageError(
             f"unknown strategy {kind!r}; valid strategies: {', '.join(STRATEGY_KINDS)}"
@@ -144,11 +159,8 @@ def _strategy_keys(cfg: dict) -> tuple[str, list | None, DepthFilters]:
     view_names = cfg.get("views")
     if not isinstance(view_names, (list, type(None))):
         raise _UsageError(f"views must be a list of view names, got {view_names!r}")
-    filters = _object(cfg, "far_depth_filters")
-    return kind, view_names, DepthFilters(
-        min_px_height=_number(filters, "min_px_height", 25.0),
-        max_depth=_number(filters, "max_depth", 50.0),
-    )
+    filters = _numbers(_object(cfg, "far_depth_filters"), _KNOWN_KEYS["far_depth_filters"])
+    return kind, view_names, DepthFilters(**filters)
 
 
 def _resolve_views(view_names: list | None, kind: str, dataset: Dataset) -> tuple[ViewSpec, ...]:
@@ -176,65 +188,52 @@ def cmd_simulate(args) -> int:
     try:
         cfg_obj = json.loads(config_path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"cannot read config: {exc}") from None
 
     try:
         if not isinstance(cfg_obj, dict):
             raise _UsageError("config must be a JSON object")
         _only_known_keys(cfg_obj, "config")
-        seeds = (args.seed,) if args.seed is not None else _whole_numbers("seeds", cfg_obj.get("seeds", [0]))
+        # The config's seeds are checked even when --seed replaces them.
+        seeds = _whole_numbers("seeds", cfg_obj.get("seeds", [0]))
         if not seeds:
             raise _UsageError("config must list at least one seed")
         repeated = sorted({s for s in seeds if seeds.count(s) > 1})
         if repeated:
             raise _UsageError(f"seeds must not repeat, got {', '.join(map(str, repeated))} more than once")
         if min(seeds) < 0:
-            named = "seeds" if args.seed is None else "--seed"
-            raise _UsageError(f"{named} must be >= 0, got {', '.join(map(str, seeds))}")
-        dataset_path = Path(_string(cfg_obj, "dataset"))
+            raise _UsageError(f"seeds must be >= 0, got {', '.join(map(str, seeds))}")
+        if args.seed is not None:
+            if args.seed < 0:
+                raise _UsageError(f"--seed must be >= 0, got {args.seed}")
+            seeds = (args.seed,)
+        dataset_path = Path(_string("dataset", _required(cfg_obj, "config", "dataset")))
         if not dataset_path.is_absolute():
             dataset_path = config_path.parent / dataset_path
-        output = _string(cfg_obj, "output", "runs")
+        output = _string("output", cfg_obj.get("output", "runs"))
         campaign = _object(cfg_obj, "campaign")
-        settings = dict(
-            round_budgets=_whole_numbers("round_budgets", campaign["round_budgets"]),
-            h_scale=_number(campaign, "H", 2.0),
-            initial_fraction=_number(campaign, "initial_fraction", 0.1),
-            alpha=_number(campaign, "alpha", 3.0),
-            delta=_number(campaign, "delta", 0.2),
-            min_px_height=_number(campaign, "min_px_height", 25.0),
-            pca_var_keep=_number(campaign, "pca_var_keep", None),
-        )
+        round_budgets = _whole_numbers("round_budgets", _required(campaign, "campaign", "round_budgets"))
+        numbers = _numbers(campaign, _KNOWN_KEYS["campaign"][1:])  # every key after round_budgets
+        settings = {"h_scale" if key == "H" else key: value for key, value in numbers.items()}
         kind, view_names, filters = _strategy_keys(_object(cfg_obj, "strategy"))
-        if settings["initial_fraction"] == 0.0:
+        if settings.get("initial_fraction") == 0.0:
             raise _UsageError("initial_fraction must be > 0: the covering-radius curve needs a labeled set")
-    except (_UsageError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        raise _UsageError(exc) from None
 
-    try:
-        dataset = load_dataset(dataset_path)
-    except DatasetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    dataset = load_dataset(dataset_path)
 
     # The strategy's views come from the dataset; every seed runs this
     # config with its own strategy seed.
     try:
         views = _resolve_views(view_names, kind, dataset)
         strategy = StrategyConfig(kind=kind, views=views, far_depth_filters=filters)
-        ccfg = CampaignConfig(strategy=strategy, **settings)
-    except (_UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        ccfg = CampaignConfig(strategy=strategy, round_budgets=round_budgets, **settings)
+    except ValueError as exc:
+        raise _UsageError(exc) from None
 
     out_dir = Path(args.out) if args.out else Path(output)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot write {out_dir}: {exc}", file=sys.stderr)
-        return 1
+    _write_atomically(out_dir, {})  # refuses an unwritable --out before any campaign runs
     chash = _config_hash(cfg_obj)
 
     curves = []
@@ -243,11 +242,9 @@ def cmd_simulate(args) -> int:
         try:
             curve, state = run_campaign(seeded, dataset)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            raise _RunError(exc) from None
         curves.append(curve)
 
-        seed_dir = out_dir / f"seed_{seed}"
         final = {
             "config_hash": chash,
             "seed": seed,
@@ -256,18 +253,13 @@ def cmd_simulate(args) -> int:
             "labeled_gt_count": len(state.labeled_gt),
             "labeled_images": sorted(state.labeled_images),
         }
-        try:
-            seed_dir.mkdir(parents=True, exist_ok=True)
-            _write_atomically({
-                seed_dir / "curve.csv": _curve_lines(curve, f"config={chash} seed={seed}"),
-                seed_dir / "rounds.jsonl": "".join(
-                    json.dumps(ev.to_json(), sort_keys=True) + "\n" for log in state.history for ev in log.events
-                ),
-                seed_dir / "state.json": json.dumps(final, sort_keys=True, indent=2) + "\n",
-            })
-        except OSError as exc:
-            print(f"error: cannot write {seed_dir}: {exc}", file=sys.stderr)
-            return 1
+        _write_atomically(out_dir / f"seed_{seed}", {
+            "curve.csv": _curve_lines(curve, f"config={chash} seed={seed}"),
+            "rounds.jsonl": "".join(
+                json.dumps(ev.to_json(), sort_keys=True) + "\n" for log in state.history for ev in log.events
+            ),
+            "state.json": json.dumps(final, sort_keys=True, indent=2) + "\n",
+        })
 
     n_rounds = min(len(c.points) for c in curves)
     if any(len(c.points) != n_rounds for c in curves):
@@ -283,12 +275,7 @@ def cmd_simulate(args) -> int:
         mean_pairs.append((sum(xs) / len(xs), sum(ys) / len(ys)))
     mean_curve = Curve.from_pairs(mean_pairs)
     seeds_str = ",".join(str(s) for s in seeds)
-    try:
-        mean_text = _curve_lines(mean_curve, f"config={chash} seeds={seeds_str}")
-        _write_atomically({out_dir / "curve_mean.csv": mean_text})
-    except OSError as exc:
-        print(f"error: cannot write {out_dir}: {exc}", file=sys.stderr)
-        return 1
+    _write_atomically(out_dir, {"curve_mean.csv": _curve_lines(mean_curve, f"config={chash} seeds={seeds_str}")})
     print(out_dir)
     return 0
 
@@ -335,8 +322,7 @@ def _method_names(paths) -> list[str]:
 
 def cmd_naurc(args) -> int:
     if not math.isfinite(args.budget):
-        print(f"error: --budget must be a finite number, got {args.budget!r}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"--budget must be a finite number, got {args.budget!r}")
     scored: list[tuple[str, float]] = []
     failed: list[str] = []
     lower_is_better: dict[str, bool] = {}
@@ -351,12 +337,10 @@ def cmd_naurc(args) -> int:
     lower = [method for method, low in lower_is_better.items() if low]
     higher = [method for method, low in lower_is_better.items() if not low]
     if lower and higher:
-        print(
-            f"error: cannot rank lower-is-better curves ({', '.join(lower)}) "
-            f"with higher-is-better ones ({', '.join(higher)})",
-            file=sys.stderr,
+        raise _UsageError(
+            f"cannot rank lower-is-better curves ({', '.join(lower)}) "
+            f"with higher-is-better ones ({', '.join(higher)})"
         )
-        return 2
     # Best first in the curves' shared direction, ties by name.
     scored.sort(key=lambda mv: (mv[1] if lower else -mv[1], mv[0]))
     lines = [f"# budget={args.budget!r}", "method,budget,naurc"]
@@ -366,7 +350,8 @@ def cmd_naurc(args) -> int:
         lines.append(f"{method},{args.budget!r},error")
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        out = Path(args.out)
+        _write_atomically(out.parent, {out.name: text})
     else:
         sys.stdout.write(text)
     return 0
@@ -400,7 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (_UsageError, DatasetError, _RunError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, _UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -112,18 +112,10 @@ def naurc(curve: Curve, budget: float) -> float:
     if not budget > pts[0].x:
         raise ValueError(f"budget {budget} must exceed the curve start {pts[0].x}")
 
-    area = 0.0
-    j = 0
-    for i in range(len(pts) - 1):
-        if pts[i + 1].x <= budget:
-            area += aurc_segment(pts[i], pts[i + 1])
-            j = i + 1
-        else:
-            break
-    y_at_budget = interpolate_at_budget(curve, budget)
-    if budget > pts[j].x:
-        area += (y_at_budget + pts[j].y) / 2.0 * (budget - pts[j].x)
-    return area / budget
+    knots = [p for p in pts if p.x <= budget]
+    if knots[-1].x < budget:
+        knots.append(CurvePoint(budget, interpolate_at_budget(curve, budget)))
+    return sum(aurc_segment(a, b) for a, b in zip(knots, knots[1:])) / budget
 
 
 def accounting_x(round_logs: Sequence, mode: str) -> list[float]:

@@ -208,6 +208,19 @@ class TestIngest:
         assert "undeclared view(s) 'zz'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("blocked", ["output_is_a_file", "manifest_is_a_directory"])
+    def test_unwritable_output_exit_1(self, tmp_path, capsys, blocked):
+        raw = tmp_path / "raw.jsonl"
+        write_raw(raw, raw_lines())
+        out = tmp_path / "out"
+        if blocked == "output_is_a_file":
+            out.write_text("kept\n", encoding="utf-8")
+        else:
+            (out / "manifest.jsonl").mkdir(parents=True)
+        assert main(["ingest", "--input", str(raw), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
 
 @pytest.fixture
 def sim_setup(tmp_path):
@@ -529,6 +542,46 @@ class TestSimulate:
         assert err.startswith(f"error: {named}; known keys: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            (("dataset",), "config: missing key 'dataset'"),
+            (("campaign", "round_budgets"), "campaign: missing key 'round_budgets'"),
+            (("campaign",), "campaign: missing key 'round_budgets'"),
+            (("strategy", "kind"), "strategy: missing key 'kind'"),
+            (("strategy",), "strategy: missing key 'kind'"),
+        ],
+        ids=["dataset", "campaign.round_budgets", "campaign", "strategy.kind", "strategy"],
+    )
+    def test_missing_key_named_before_the_load(self, sim_setup, capsys, path, message):
+        # The dataset is absent: a missing key is named (exit 2) first.
+        config, config_path, tmp_path = sim_setup
+        config["dataset"] = str(tmp_path / "absent.jsonl")
+        *parents, key = path
+        target = config
+        for name in parents:
+            target = target[name]
+        del target[key]
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "seeds, named",
+        [("x", "seeds must be a list"), ([-1], "seeds must be >= 0"), ([1, 1], "seeds must not repeat")],
+        ids=["not_a_list", "negative", "repeated"],
+    )
+    def test_config_seeds_checked_under_seed_override(self, sim_setup, capsys, seeds, named):
+        config, config_path, tmp_path = sim_setup
+        config["seeds"] = seeds
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(config_path), "--out", str(out), "--seed", "0"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {named}")
+        assert not out.exists()
+
     def test_repeated_seed_exit_2(self, sim_setup, capsys):
         config, config_path, tmp_path = sim_setup
         config["seeds"] = [0, 2, 0, 1, 2]
@@ -693,3 +746,37 @@ class TestNaurc:
         assert main(["naurc", "--curves", str(path), "--budget", "10", "--out", str(table)]) == 0
         text = table.read_text(encoding="utf-8")
         assert text.splitlines()[1] == "method,budget,naurc"
+
+    def test_table_written_into_a_new_directory(self, tmp_path):
+        path = tmp_path / "flat.csv"
+        self.write_curve(path, [(0, 2.0), (20, 2.0)])
+        table = tmp_path / "missing" / "dir" / "table.csv"
+        assert main(["naurc", "--curves", str(path), "--budget", "10", "--out", str(table)]) == 0
+        assert table.read_text(encoding="utf-8").splitlines()[2] == "flat,10.0,2.0"
+        assert [p.name for p in table.parent.iterdir()] == ["table.csv"]
+
+
+@pytest.mark.parametrize(
+    "command, flag, target, named",
+    [("simulate", "--out", "runs", "runs"), ("naurc", "--out", "table.csv", ""), ("ingest", "--output", "dataset", "dataset")],
+    ids=["simulate", "naurc", "ingest"],
+)
+def test_output_under_a_regular_file_exit_1(sim_setup, capsys, command, flag, target, named):
+    # Each command's output path lies under a regular file: one error line
+    # names the directory that could not be made, and nothing is left.
+    _, config_path, tmp_path = sim_setup
+    (tmp_path / "flat.csv").write_text("x,y\n0,1.0\n10,1.0\n", encoding="utf-8")
+    write_raw(tmp_path / "raw.jsonl", raw_lines())
+    inputs = {
+        "simulate": ["--config", str(config_path)],
+        "naurc": ["--curves", str(tmp_path / "flat.csv"), "--budget", "5"],
+        "ingest": ["--input", str(tmp_path / "raw.jsonl")],
+    }[command]
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n", encoding="utf-8")
+    assert main([command, *inputs, flag, str(blocker / target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {blocker / named}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert blocker.read_text(encoding="utf-8") == "kept\n"
+    assert not list(tmp_path.rglob("*.tmp"))
