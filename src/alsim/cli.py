@@ -11,12 +11,11 @@ import hashlib
 import json
 import logging
 import math
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .dataio import DatasetError, load_dataset, read_raw_export, write_dataset
+from .dataio import DatasetError, _write_all_or_none, load_dataset, read_raw_export, write_dataset
 from .metrics import Curve, naurc
 from .records import Dataset, ViewSpec, validate_dataset
 from .selection import CORESET_KINDS, STRATEGY_KINDS, DepthFilters, StrategyConfig
@@ -41,23 +40,14 @@ class _RunError(Exception):
 
 
 def _write_atomically(directory: Path, texts: dict[str, str]) -> None:
-    """Make ``directory`` and write each text to its named file there.
-    Every text goes to a temporary file beside its file before any is
-    moved into place, so a failed write leaves no file with partial
-    contents; the failure is raised as ``cannot write <directory>``."""
-    temps: dict[Path, Path] = {}
+    """Make ``directory`` and write each text to its named file there,
+    through ``dataio._write_all_or_none``, so a failed write leaves none of
+    them behind; the failure is raised as ``cannot write <directory>``."""
+    writers = {name: lambda path, text=text: path.write_text(text, encoding="utf-8") for name, text in texts.items()}
     try:
-        directory.mkdir(parents=True, exist_ok=True)
-        for name, text in texts.items():
-            temps[directory / name] = temp = directory / f"{name}.tmp"
-            temp.write_text(text, encoding="utf-8")
-        for path, temp in temps.items():
-            os.replace(temp, path)
+        _write_all_or_none(directory, writers)
     except OSError as exc:
         raise _RunError(f"cannot write {directory}: {exc}") from None
-    finally:
-        for temp in temps.values():
-            temp.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------- ingest
@@ -321,8 +311,8 @@ def _method_names(paths) -> list[str]:
 
 
 def cmd_naurc(args) -> int:
-    if not math.isfinite(args.budget):
-        raise _UsageError(f"--budget must be a finite number, got {args.budget!r}")
+    if not (math.isfinite(args.budget) and args.budget > 0):
+        raise _UsageError(f"--budget must be a finite number > 0, got {args.budget!r}")
     scored: list[tuple[str, float]] = []
     failed: list[str] = []
     lower_is_better: dict[str, bool] = {}

@@ -28,11 +28,14 @@ Features are float32 on disk and widened to float64 in memory.
 from __future__ import annotations
 
 import json
+import os
 import re
 import struct
 import sys
 from array import array
 from collections import defaultdict
+from collections.abc import Callable, Mapping
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -329,30 +332,56 @@ def _gt_line(g: GroundTruthObject) -> dict:
     }
 
 
+def _write_all_or_none(directory: Path, writers: Mapping[str, Callable[[Path], None]]) -> None:
+    """Make ``directory`` and write each named file there: its writer is
+    given a temporary path beside the file. The files are moved into place,
+    in order, only once every writer has finished. On failure the temporary
+    files, and any file this call already moved into place, are removed
+    before the error propagates."""
+    temps: dict[Path, Path] = {}
+    moved: list[Path] = []
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        for name, write in writers.items():
+            temps[directory / name] = temp = directory / f"{name}.tmp"
+            write(temp)
+        for path, temp in temps.items():
+            os.replace(temp, path)
+            moved.append(path)
+    except BaseException:
+        for path in moved:
+            path.unlink(missing_ok=True)
+        raise
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+
+
 def write_dataset(dataset: Dataset, manifest_path) -> None:
     """Write a dataset as manifest plus blobs next to the manifest.
 
     Round-trips with ``load_dataset``: feature blobs come back
     byte-identical because vectors are stored as float32 on both sides.
+    The blobs and then the manifest are moved into place only once all of
+    them are written, so a failed write leaves none of them behind.
     """
     manifest_path = Path(manifest_path)
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
-
-    blobs = {}
-    for i, v in enumerate(dataset.views):
-        name = _blob_name(i, v.name)
-        write_blob(manifest_path.parent / name, dataset.matrix(v.name))
-        blobs[v.name] = name
-
+    blobs = {v.name: _blob_name(i, v.name) for i, v in enumerate(dataset.views)}
     header = {
         "kind": "header",
         "views": [{"name": v.name, "dim": v.dim, "lambda": v.lam} for v in dataset.views],
         "camera": {"fx": dataset.camera.f_x, "fy": dataset.camera.f_y},
         "blobs": blobs,
     }
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for r in dataset.instances:
-            fh.write(json.dumps(_instance_line(r), separators=(",", ":")) + "\n")
-        for g in dataset.ground_truth:
-            fh.write(json.dumps(_gt_line(g), separators=(",", ":")) + "\n")
+
+    def write_manifest(path: Path) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(header, separators=(",", ":")) + "\n")
+            for r in dataset.instances:
+                fh.write(json.dumps(_instance_line(r), separators=(",", ":")) + "\n")
+            for g in dataset.ground_truth:
+                fh.write(json.dumps(_gt_line(g), separators=(",", ":")) + "\n")
+
+    writers = {name: partial(write_blob, matrix=dataset.matrix(view)) for view, name in blobs.items()}
+    writers[manifest_path.name] = write_manifest
+    _write_all_or_none(manifest_path.parent, writers)

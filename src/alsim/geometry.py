@@ -84,7 +84,13 @@ def match_request(
     Returns a null MatchResult when nothing qualifies, which the budget
     still charges as a false-positive request.
     """
-    rad = labeling_radius(cam, pred_depth, h_scale)
+    return _match(req_center, gts, labeling_radius(cam, pred_depth, h_scale), min_px_height)
+
+
+def _match(
+    req_center: tuple[float, float], gts: Sequence[GroundTruthObject], rad: Radius2D, min_px_height: float
+) -> MatchResult:
+    """``match_request`` inside the window ``rad``."""
     best_gt: GroundTruthObject | None = None
     best_d = math.inf
     for gt in gts:
@@ -118,7 +124,13 @@ def suppress_duplicate(
     within 95% of the labeling radius on both axes, boundary inclusive.
     The radius is computed from the new request's predicted depth.
     """
-    rad = labeling_radius(cam, pred_depth, h_scale)
+    return _suppresses(req_center, pred_class, prior, labeling_radius(cam, pred_depth, h_scale))
+
+
+def _suppresses(
+    req_center: tuple[float, float], pred_class: int, prior: Iterable[tuple[tuple[float, float], int]], rad: Radius2D
+) -> bool:
+    """``suppress_duplicate`` under the labeling radius ``rad``."""
     rx = 0.95 * rad.r_x
     ry = 0.95 * rad.r_y
     for (px, py), pclass in prior:

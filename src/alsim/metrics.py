@@ -104,13 +104,17 @@ def naurc(curve: Curve, budget: float) -> float:
     though normalization uses the whole budget.
 
     Raises:
-        ValueError: unless the budget is finite and > the curve's first x.
+        ValueError: unless the budget is finite, > 0 and > the curve's
+            first x.
     """
     pts = curve.points
     if not math.isfinite(budget):
         raise ValueError(f"budget must be finite, got {budget}")
     if not budget > pts[0].x:
         raise ValueError(f"budget {budget} must exceed the curve start {pts[0].x}")
+    # A curve may start below 0, and the area is divided by the budget.
+    if not budget > 0:
+        raise ValueError(f"budget must be > 0, got {budget}")
 
     knots = [p for p in pts if p.x <= budget]
     if knots[-1].x < budget:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
@@ -116,14 +117,16 @@ class Dataset:
 
     ``images`` maps image id to its ground-truth object count, in
     manifest order. ``matrix(name)`` is one view's features as a single
-    matrix in instance order. The loader hands over the matrices that its
-    records' ``features`` read their rows from; any other dataset, such as
-    a ``dataclasses.replace`` with other instances, stacks a view's rows on
-    first use and keeps the result. That memo is the only thing that
-    changes after construction, and it only ever gains an entry equal to
-    the records' rows, so the container is safe to share read-only across
-    workers. Treat the matrices as read-only: the loader's are the
-    records' own feature rows.
+    matrix in instance order, and ``instance_ids`` the instance ids as one
+    column. The loader hands over the matrices that its records'
+    ``features`` read their rows from; any other dataset, such as a
+    ``dataclasses.replace`` with other instances, stacks a view's rows on
+    first use and keeps the result, and every dataset builds its id column
+    on first use. Those memos are the only thing that changes after
+    construction, and each only ever gains a value equal to the records'
+    fields, so the container is safe to share read-only across workers.
+    Treat the matrices as read-only: the loader's are the records' own
+    feature rows.
     """
 
     camera: CameraModel
@@ -144,6 +147,13 @@ class Dataset:
             m = np.array(rows, dtype=np.float64).reshape(len(self.instances), dim)
             self._matrices[name] = m
         return m
+
+    @cached_property
+    def instance_ids(self) -> np.ndarray:
+        """The read-only int64 instance ids, one per instance in instance order."""
+        ids = np.fromiter((r.instance_id for r in self.instances), dtype=np.int64, count=len(self.instances))
+        ids.flags.writeable = False
+        return ids
 
     def labelable_counts(self, min_px_height: float) -> dict[str, int]:
         """Per-image count of ground-truth objects tall enough to label."""

@@ -99,16 +99,22 @@ class StrategyConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-def _farthest_first(coverage: Coverage, pool: Sequence[InstanceRecord]) -> Iterator[tuple[InstanceRecord, float]]:
+def _instance_ids(records: Sequence[InstanceRecord]) -> np.ndarray:
+    return np.array([r.instance_id for r in records], dtype=np.int64)
+
+
+def _farthest_first(
+    coverage: Coverage, pool: Sequence[InstanceRecord], ids: np.ndarray
+) -> Iterator[tuple[InstanceRecord, float]]:
     """The greedy pick loop on a copy of ``coverage``'s unfolded rows, which
-    are ``pool``'s rows in order: a pick's entry is set to -inf, so it
-    never wins again, and its row is folded into the copied ``mins``."""
+    are ``pool``'s rows in order (``ids`` their instance ids): a pick's
+    entry is set to -inf, so it never wins again, and its row is folded
+    into the copied ``mins``."""
     if not coverage.folded.any():
         raise ValueError("labeled set must be nonempty")
     rows = np.flatnonzero(~coverage.folded)
     if len(rows) != len(pool):
         raise ValueError(f"pool has {len(pool)} records, coverage has {len(rows)} unfolded rows")
-    ids = np.array([r.instance_id for r in pool], dtype=np.int64)
     E, mins = coverage.E[rows], coverage.mins[rows]
 
     for _ in range(len(pool)):
@@ -134,7 +140,7 @@ def iter_coreset_picks(
     """
     coverage = Coverage(dist, dist.embed([*pool, *labeled]))
     coverage.fold(range(len(pool), len(pool) + len(labeled)))
-    return _farthest_first(coverage, pool)
+    return _farthest_first(coverage, pool, _instance_ids(pool))
 
 
 def coreset_select(
@@ -259,15 +265,29 @@ def rank_pool(
     overrides the config seed for per-round randomness.
     """
     validate_strategy_setup(cfg, pool)
+    yield from _ranked(pool, _instance_ids(pool), cfg, coverage, seed)
+
+
+def _ranked(
+    pool: Sequence[InstanceRecord],
+    ids: np.ndarray,
+    cfg: StrategyConfig,
+    coverage: Coverage | None,
+    seed: int | None,
+) -> Iterator[tuple[InstanceRecord, float]]:
+    """``rank_pool`` of a pool already checked against the strategy, with
+    ``ids`` its instance ids in order, such as a slice of
+    ``Dataset.instance_ids``."""
     if cfg.kind in CORESET_KINDS:
         if coverage is None:
             raise ValueError(f"strategy {cfg.kind!r} needs a coverage of the labeled set")
-        yield from _farthest_first(coverage, pool)
+        yield from _farthest_first(coverage, pool, ids)
         return
 
     eligible, score = _RANKERS[cfg.kind]
-    records = pool if eligible is None else [r for r in pool if eligible(r, cfg.far_depth_filters)]
-    scores = score(records, cfg.seed if seed is None else seed)
-    ids = np.array([r.instance_id for r in records], dtype=np.int64)
+    if eligible is not None:
+        keep = [i for i, r in enumerate(pool) if eligible(r, cfg.far_depth_filters)]
+        pool, ids = [pool[i] for i in keep], ids[keep]
+    scores = score(pool, cfg.seed if seed is None else seed)
     for i in np.lexsort((ids, -scores)).tolist():
-        yield records[i], float(scores[i])
+        yield pool[i], float(scores[i])

@@ -11,9 +11,15 @@ covering-radius curve when their views agree.
 
 The oracle's per-image state is one ``OracleIndex`` per campaign: the
 charged requests by image and class, which duplicate suppression reads,
-and each image's ground truth with an open mask that a match clears.
-A request is matched against only the open objects inside its labeling
-window, so a round costs time in its requests, not in the dataset's size.
+each image's ground truth with an open mask that a match clears, and the
+instances it has suppressed. Each request computes its labeling radius
+once, for the duplicate check, the truth window and the match. Priors
+only grow, so a suppressed instance stays suppressed, and its later
+requests are suppressed from that memo without a scan of the priors;
+the memo holds under one ``h_scale``, and ``run_round`` refuses an index
+used under another. A request is matched against only the open objects
+inside its labeling window, so a round's oracle cost is in its requests,
+not in the dataset's size.
 
 The module also carries the training-side schedules of the simulated
 detector ensemble (time-decayed label bagging and loss-weight
@@ -23,6 +29,7 @@ no bag is drawn.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -30,10 +37,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .features import Coverage, FusedCosineMetric, compress_views
-from .geometry import Radius2D, labeling_radius, match_request, suppress_duplicate
+# ``match_request``, ``suppress_duplicate`` and ``rank_pool`` are the public
+# views of the cores that ``run_round`` calls. They stay bound here because
+# the benchmark's tracer patches them by these names.
+from .geometry import Radius2D, _match, _suppresses, labeling_radius, match_request, suppress_duplicate
 from .metrics import Curve, CurvePoint
 from .records import Box2D, CameraModel, Dataset, GroundTruthObject, InstanceRecord, ViewSpec, _whole
-from .selection import CORESET_KINDS, StrategyConfig, rank_pool, validate_strategy_setup
+from .selection import CORESET_KINDS, StrategyConfig, _instance_ids, _ranked, rank_pool, validate_strategy_setup
 
 __all__ = [
     "LOSS_SUBTASKS",
@@ -239,11 +249,11 @@ class _ImageTruth:
 
     __slots__ = ("objects", "cx", "cy", "open")
 
-    def __init__(self, objects: list[GroundTruthObject], labeled_gt: frozenset[int]):
+    def __init__(self, objects: list[GroundTruthObject], cx: np.ndarray, cy: np.ndarray, open: np.ndarray):
         self.objects = objects
-        self.cx = np.array([g.center2d[0] for g in objects], dtype=np.float64)
-        self.cy = np.array([g.center2d[1] for g in objects], dtype=np.float64)
-        self.open = np.array([g.gt_id not in labeled_gt for g in objects], dtype=bool)
+        self.cx = cx
+        self.cy = cy
+        self.open = open
 
     def window(self, center: tuple[float, float], rad: Radius2D) -> list[int]:
         """Rows of the open objects whose centre lies within ``rad`` of
@@ -257,24 +267,44 @@ class OracleIndex:
 
     ``priors`` maps ``(image_id, class_id)`` to the ``(center, class_id)``
     pairs of the requests charged so far; ``truth`` maps an image to its
-    ground truth with the labeled objects closed. Built from a state's
-    ledger (``charged_ids``, ``labeled_gt``); ``run_round`` updates it in
-    place with each request and then advances ``round_index``, so a
-    campaign carries one index through all its rounds.
+    ground truth with the labeled objects closed; ``suppressed`` holds the
+    ids of the instances whose request this index has suppressed. Built
+    from a state's ledger (``charged_ids``, ``labeled_gt``) with nothing
+    suppressed; ``run_round`` updates it in place with each request and
+    then advances ``round_index``, so a campaign carries one index through
+    all its rounds.
+
+    Priors are only ever added and the camera is fixed, so a suppressed
+    instance stays suppressed: a later request for it is suppressed from
+    ``suppressed`` without a scan of its priors. That holds under one
+    labeling-window scale only, so the first round records its
+    ``h_scale`` here and ``run_round`` refuses the index under another.
     """
 
     def __init__(self, data: Dataset, state: RoundState):
         self.round_index: int | None = state.round_index
+        self.h_scale: float | None = None
+        self.suppressed: set[int] = set()
         self.priors: dict[tuple[str, int], list[tuple[tuple[float, float], int]]] = {}
         # No charges, as at every campaign's start: no instance to look up.
         if state.charged_ids:
             for r in data.instances:
                 if r.instance_id in state.charged_ids:
                     self.priors.setdefault((r.image_id, r.class_id), []).append((r.center, r.class_id))
+        # The ground truth grouped by image, each group in dataset order;
+        # each image's columns are a slice of one dataset-wide column.
         by_image: dict[str, list[GroundTruthObject]] = {}
         for g in data.ground_truth:
             by_image.setdefault(g.image_id, []).append(g)
-        self.truth = {image: _ImageTruth(objects, state.labeled_gt) for image, objects in by_image.items()}
+        objects = [g for group in by_image.values() for g in group]
+        bounds = [0, *itertools.accumulate(map(len, by_image.values()))]
+        cx = np.array([g.center2d[0] for g in objects], dtype=np.float64)
+        cy = np.array([g.center2d[1] for g in objects], dtype=np.float64)
+        open_ = np.array([g.gt_id not in state.labeled_gt for g in objects], dtype=bool)
+        self.truth = {
+            image: _ImageTruth(objects[lo:hi], cx[lo:hi], cy[lo:hi], open_[lo:hi])
+            for image, lo, hi in zip(by_image, bounds, bounds[1:])
+        }
 
 
 def run_round(
@@ -290,24 +320,43 @@ def run_round(
     The strategy ranks ``pool`` (records of ``data``) as given; greedy
     kinds rank from ``coverage``, which is left unchanged, or from one
     built from ``state``'s labels when it is not given. Requests are
-    issued in rank order. A request within 95% of the labeling radius of
-    an earlier same-class request in the same image is suppressed without
-    charge. Every other request is charged, matched or not, against the
-    open ground truth inside its labeling window; matched ground truth
-    moves to the labeled set. The round stops once the cumulative
-    requested total reaches this round's budget target or the ranking is
-    exhausted. Earlier rounds are read from ``oracle``, which the round
-    updates in place and advances to the next round, or from an index
-    built from ``state``'s ledger when it is not given. The loop records
-    only the events (and the charged count the budget needs); the round
-    log's counts and the returned state's labels and ledger are read off
-    those events.
+    issued in rank order, and each request's labeling radius is computed
+    once. A request within 95% of that radius of an earlier same-class
+    request in the same image is suppressed without charge, and so is,
+    without a scan, a request for an instance the index suppressed before.
+    Every other request is charged, matched or not, against the open
+    ground truth inside its labeling window; matched ground truth moves
+    to the labeled set. The round stops once the cumulative requested
+    total reaches this round's budget target or the ranking is exhausted.
+    Earlier rounds are read from ``oracle``, which the round updates in
+    place and advances to the next round, or from an index built from
+    ``state``'s ledger when it is not given. The loop records only the
+    events (and the charged count the budget needs); the round log's
+    counts and the returned state's labels and ledger are read off those
+    events.
 
     Raises:
         ValueError: if the budget target lies below the current total, if
-            ``oracle`` is at another round than ``state``, or if a
-            requested instance lacks the depth the oracle window needs.
+            ``oracle`` is at another round than ``state`` or was used
+            under another ``h_scale`` than ``cfg``'s, or if a requested
+            instance lacks the depth the oracle window needs.
     """
+    validate_strategy_setup(cfg.strategy, pool)
+    return _run_round(state, data, cfg, pool, _instance_ids(pool), coverage, oracle)
+
+
+def _run_round(
+    state: RoundState,
+    data: Dataset,
+    cfg: CampaignConfig,
+    pool: Sequence[InstanceRecord],
+    ids: np.ndarray,
+    coverage: Coverage | None,
+    oracle: OracleIndex | None,
+) -> tuple[RoundState, RoundLog]:
+    """``run_round`` of a pool already checked against the strategy, with
+    ``ids`` its instance ids in order; the campaign slices them from
+    ``Dataset.instance_ids``."""
     if state.round_index >= len(cfg.round_budgets):
         raise ValueError(f"no budget configured for round {state.round_index}")
     target = cfg.round_budgets[state.round_index]
@@ -319,12 +368,15 @@ def run_round(
         oracle = OracleIndex(data, state)
     elif oracle.round_index != state.round_index:
         raise ValueError(f"oracle index is at round {oracle.round_index}, state at round {state.round_index}")
+    elif oracle.h_scale not in (None, cfg.h_scale):
+        raise ValueError(f"oracle index was used under h_scale {oracle.h_scale}, this round has {cfg.h_scale}")
     if cfg.strategy.kind in CORESET_KINDS and coverage is None:
         coverage = _coverage({}, data, cfg.strategy.views, cfg.pca_var_keep)
         coverage.fold(np.flatnonzero(_labeled_mask(state, data.instances)))
     # Marked in progress until the loop ends, so an index left half
     # updated by an error is refused by the next round.
     oracle.round_index = None
+    oracle.h_scale = cfg.h_scale
 
     events: list[RequestEvent] = []
     charged = 0
@@ -334,33 +386,28 @@ def run_round(
     # reaches it: a greedy ranking folds a pick only when asked for the next.
     ranking = ()
     if state.requested_total < target:
-        ranking = rank_pool(pool, cfg.strategy, coverage=coverage, seed=round_seed)
+        ranking = _ranked(pool, ids, cfg.strategy, coverage, round_seed)
     for record, _score in ranking:
         if record.pred_depth is None:
             raise ValueError(f"instance {record.instance_id}: pred_depth required to issue a request")
+        if record.instance_id in oracle.suppressed:
+            events.append(RequestEvent(state.round_index, record.instance_id, record.image_id, "suppressed"))
+            continue
+        # One window per request: the duplicate check, the truth window
+        # and the match all read it.
+        rad = labeling_radius(data.camera, record.pred_depth, cfg.h_scale)
         priors = oracle.priors.setdefault((record.image_id, record.class_id), [])
-        if suppress_duplicate(
-            record.center, record.pred_depth, record.class_id, priors, data.camera, cfg.h_scale
-        ):
-            events.append(
-                RequestEvent(state.round_index, record.instance_id, record.image_id, "suppressed")
-            )
+        if _suppresses(record.center, record.class_id, priors, rad):
+            oracle.suppressed.add(record.instance_id)
+            events.append(RequestEvent(state.round_index, record.instance_id, record.image_id, "suppressed"))
             continue
 
         truth = oracle.truth.get(record.image_id)
         candidates: list[GroundTruthObject] = []
         if truth is not None:
-            rows = truth.window(record.center, labeling_radius(data.camera, record.pred_depth, cfg.h_scale))
+            rows = truth.window(record.center, rad)
             candidates = [truth.objects[i] for i in rows]
-        result = match_request(
-            record.center,
-            record.pred_depth,
-            record.class_id,
-            candidates,
-            data.camera,
-            cfg.h_scale,
-            cfg.min_px_height,
-        )
+        result = _match(record.center, candidates, rad, cfg.min_px_height)
         priors.append((record.center, record.class_id))
         charged += 1
         if result.matched:
@@ -483,12 +530,12 @@ def run_campaign(
 
     points = [CurvePoint(0.0, float(measure(labeled, pool)))]
     oracle = OracleIndex(data, state)
-    ids = np.fromiter((r.instance_id for r in data.instances), dtype=np.int64, count=len(data.instances))
+    ids = data.instance_ids
 
     for _ in cfg.round_budgets:
         if not pool:
             break
-        state, log = run_round(state, data, cfg, pool, coverage, oracle)
+        state, log = _run_round(state, data, cfg, pool, ids[~mask], coverage, oracle)
         if log.charged == 0:
             break
         # Rows of this round's matches, in dataset order.

@@ -221,6 +221,17 @@ class TestIngest:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
 
+    def test_unwritable_manifest_leaves_no_blob(self, tmp_path, capsys):
+        # The blobs are written and moved into place with the manifest, so
+        # a manifest path that names a directory leaves nothing new behind.
+        raw = tmp_path / "raw.jsonl"
+        write_raw(raw, raw_lines())
+        out = tmp_path / "out"
+        (out / "manifest.jsonl").mkdir(parents=True)
+        assert main(["ingest", "--input", str(raw), "--output", str(out)]) == 1
+        assert "Is a directory" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["manifest.jsonl"]
+
 
 @pytest.fixture
 def sim_setup(tmp_path):
@@ -724,6 +735,16 @@ class TestNaurc:
         assert captured.out == ""
         assert captured.err.startswith("error: --budget must be a finite number")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_non_positive_budget_exit_2(self, tmp_path, capsys, budget):
+        # The curve starts below the budget, so naurc alone would divide by it.
+        neg = tmp_path / "neg.csv"
+        neg.write_text("-5,1\n5,1\n", encoding="utf-8")
+        assert main(["naurc", "--curves", str(neg), f"--budget={budget}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --budget must be a finite number > 0, got {float(budget)!r}\n"
 
     def test_colliding_stems_qualified_by_directory(self, tmp_path, capsys):
         for sub, level in (("a", 1.0), ("b", 2.0)):

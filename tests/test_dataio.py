@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from alsim import dataio
 from alsim.dataio import (
     DatasetError,
     _instance_line,
@@ -144,6 +145,26 @@ class TestManifestRoundTrip:
         b = load_dataset(manifest)
         assert [r.instance_id for r in a.instances] == [r.instance_id for r in b.instances]
         assert list(a.images) == list(b.images)
+
+    def test_failed_write_keeps_the_previous_dataset(self, tmp_path, rng, monkeypatch):
+        # The manifest fails halfway through its instance lines, after every
+        # blob is written: the dataset already there keeps its bytes and no
+        # temporary file is left.
+        manifest = tmp_path / "manifest.jsonl"
+        write_dataset(fixture_dataset(rng), manifest)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        lines = []
+
+        def failing(r):
+            lines.append(r.instance_id)
+            if len(lines) == 2:
+                raise OSError(28, "No space left on device")
+            return _instance_line(r)
+
+        monkeypatch.setattr(dataio, "_instance_line", failing)
+        with pytest.raises(OSError, match="No space left"):
+            write_dataset(fixture_dataset(rng), manifest)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_synthetic_dataset_roundtrip(self, tmp_path):
         data = generate_synthetic(SyntheticSpec(clusters=3, per_cluster=4), seed=8)

@@ -75,6 +75,13 @@ class TestNaurc:
         with pytest.raises(ValueError, match="must exceed"):
             naurc(curve, 0)
 
+    @pytest.mark.parametrize("budget", [0.0, -1.0])
+    def test_non_positive_budget_rejected(self, budget):
+        # The curve starts below both budgets, so only the sign refuses them.
+        curve = Curve.from_pairs([(-5, 1.0), (5, 1.0)])
+        with pytest.raises(ValueError, match=f"budget must be > 0, got {budget}"):
+            naurc(curve, budget)
+
     @pytest.mark.parametrize("budget", [math.inf, math.nan, -math.inf])
     def test_non_finite_budget_rejected(self, budget):
         curve = Curve.from_pairs([(0, 0), (10, 10)])

@@ -128,3 +128,14 @@ class TestDatasetHelpers:
         assert build_dataset([], [], views=VIEWS).matrix("a").shape == (0, 2)
         with pytest.raises(KeyError):
             data.matrix("missing")
+
+    def test_instance_ids_column_built_once(self):
+        data = build_dataset([two_view_record(7), two_view_record(3)], [], views=VIEWS)
+        ids = data.instance_ids
+        assert ids.dtype == np.int64 and ids.tolist() == [7, 3]
+        assert data.instance_ids is ids
+        with pytest.raises(ValueError):
+            ids[0] = 1
+        # A replaced dataset may hold other records: it builds its own.
+        assert replace(data, instances=data.instances[1:]).instance_ids.tolist() == [3]
+        assert build_dataset([], [], views=VIEWS).instance_ids.shape == (0,)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alsim import features, simulation
+from alsim import features, geometry, simulation
 from alsim.dataio import load_dataset, write_dataset
 from alsim.features import FusedCosineMetric, fused_distance, pca_fit, pca_transform
 from alsim.geometry import match_request, suppress_duplicate
@@ -300,11 +300,11 @@ class TestRunRound:
         data = build_dataset(instances, gts)
         offered = []
 
-        def recording(center, depth, cls, candidates, *args):
+        def recording(center, candidates, *args):
             offered.append([g.gt_id for g in candidates])
-            return match_request(center, depth, cls, candidates, *args)
+            return geometry._match(center, candidates, *args)
 
-        with patch.object(simulation, "match_request", recording):
+        with patch.object(simulation, "_match", recording):
             state, log = run_round(fresh_state(), data, round_config((2,)), instances)
         assert offered == [[100, 101], [101]]
         assert [(ev.outcome, ev.gt_id) for ev in log.events] == [("matched", 100), ("matched", 101)]
@@ -429,7 +429,7 @@ class TestRunCampaign:
             data, fraction = generate_synthetic(small_spec(), seed=0), 0.0
         cfg = CampaignConfig(StrategyConfig("random"), (2, 3, 4), initial_fraction=fraction)
         rounds = []
-        with patch.object(simulation, "run_round", lambda *args: rounds.append(args)):
+        with patch.object(simulation, "_run_round", lambda *args: rounds.append(args)):
             with pytest.raises(ValueError, match="covering-radius curve needs a labeled set"):
                 run_campaign(cfg, data)
         assert rounds == []
@@ -793,6 +793,33 @@ def full_scan_outcomes(data, cfg, history, labeled_gt):
     return outcomes
 
 
+@st.composite
+def crowded_campaigns(draw):
+    """Crowded synthetic images with some ground truth dropped, a random
+    labeling-window scale and several rounds: a campaign in which an
+    instance suppressed in one round is requested again in later ones.
+    The kinds are ``random`` and ``coreset``, whose order changes between
+    rounds; under a fixed order a remembered suppression would fall in the
+    same place as a rescan."""
+    spec = SyntheticSpec(
+        clusters=draw(st.integers(2, 4)),
+        per_cluster=draw(st.integers(10, 40)),
+        image_size=(300, 120),
+        n_classes=draw(st.sampled_from([1, 2])),
+    )
+    data = generate_synthetic(spec, seed=draw(st.integers(0, 2**16)))
+    kept = draw(st.lists(st.booleans(), min_size=len(data.ground_truth), max_size=len(data.ground_truth)))
+    data = replace(data, ground_truth=tuple(g for g, keep in zip(data.ground_truth, kept) if keep))
+    kind = draw(st.sampled_from(["random", "coreset"]))
+    cfg = CampaignConfig(
+        strategy=StrategyConfig(kind, views=data.views if kind == "coreset" else (), seed=draw(st.integers(0, 99))),
+        round_budgets=tuple(itertools.accumulate(draw(st.lists(st.integers(1, 6), min_size=2, max_size=10)))),
+        h_scale=draw(st.floats(0.3, 2.0)),
+        initial_fraction=draw(st.sampled_from([0.3, 0.6])),
+    )
+    return data, cfg
+
+
 class TestOracleIndex:
     @settings(deadline=None)
     @given(fixture=grid_campaigns())
@@ -806,6 +833,62 @@ class TestOracleIndex:
             assert ref_log.events == log.events
         events = [ev for log in state.history for ev in log.events]
         assert [(ev.outcome, ev.gt_id) for ev in events] == full_scan_outcomes(data, cfg, state.history, seeded_gt)
+
+    @settings(deadline=None, max_examples=60)
+    @given(fixture=crowded_campaigns())
+    def test_remembered_suppressions_match_rebuilt_indexes(self, fixture):
+        # The campaign carries one index and its suppression memo; the
+        # replay rebuilds an index from the ledger every round, with an
+        # empty memo, and must give the same events.
+        data, cfg = fixture
+        _, state = run_campaign(cfg, data, lambda lab, pool: 0.0)
+        seeded_gt = frozenset(g.gt_id for g in data.ground_truth if g.image_id in state.labeled_images)
+        ref = RoundState(0, seeded_gt, 0, state.labeled_images, cfg.strategy.seed)
+        for log in state.history:
+            ref, ref_log = run_round(ref, data, cfg, pool_of(ref, data), oracle=None)
+            assert ref_log.events == log.events
+
+    def test_one_radius_per_request_not_remembered(self, monkeypatch):
+        # A crowded greedy campaign: 410 requests, 314 suppressed, 245 of
+        # them for an instance already suppressed in an earlier round.
+        # Only the other 165 compute a labeling radius or scan priors.
+        data = generate_synthetic(SyntheticSpec(4, 60), seed=0)
+        data = replace(data, ground_truth=data.ground_truth[::3])
+        calls = {"radius": 0, "scan": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(simulation, "labeling_radius", counted("radius", simulation.labeling_radius))
+        monkeypatch.setattr(simulation, "_suppresses", counted("scan", simulation._suppresses))
+        cfg = CampaignConfig(StrategyConfig("coreset", views=data.views, seed=0), tuple(range(8, 97, 8)))
+        _, state = run_campaign(cfg, data, lambda lab, pool: 0.0)
+        events = [ev for log in state.history for ev in log.events]
+        # Every suppression of an instance after its first is remembered.
+        suppressed = [ev.instance_id for ev in events if ev.outcome == "suppressed"]
+        remembered = len(suppressed) - len(set(suppressed))
+        assert (len(events), len(suppressed), remembered) == (410, 314, 245)
+        assert calls == {"radius": len(events) - remembered, "scan": len(events) - remembered}
+
+    def test_index_under_another_h_scale_refused(self):
+        data = build_dataset(
+            [make_record(i, center=(60.0 * (i + 1), 50.0), pred_depth=10.0, size=(10, 10)) for i in range(2)],
+            [make_gt(100 + i, center=(60.0 * (i + 1), 50.0), pixel_height=60.0) for i in range(2)],
+        )
+        state = fresh_state()
+        oracle = OracleIndex(data, state)
+        assert oracle.h_scale is None
+        state, _ = run_round(state, data, round_config((1, 2)), list(data.instances), oracle=oracle)
+        assert oracle.h_scale == 2.0
+        with pytest.raises(ValueError, match="oracle index was used under h_scale 2.0, this round has 3.0"):
+            run_round(state, data, round_config((1, 2), h_scale=3.0), pool_of(state, data), oracle=oracle)
+        # Refused before the index is touched: it still runs under its own scale.
+        assert oracle.round_index == 1
+        _, log = run_round(state, data, round_config((1, 2)), pool_of(state, data), oracle=oracle)
+        assert [ev.outcome for ev in log.events] == ["matched"]
 
     @pytest.mark.parametrize("axis", [0, 1])
     @pytest.mark.parametrize("side", [1.0, -1.0])
@@ -822,11 +905,11 @@ class TestOracleIndex:
             )
             offered = []
 
-            def recording(center, depth, cls, candidates, *args):
+            def recording(center, candidates, *args):
                 offered.append([g.gt_id for g in candidates])
-                return match_request(center, depth, cls, candidates, *args)
+                return geometry._match(center, candidates, *args)
 
-            with patch.object(simulation, "match_request", recording):
+            with patch.object(simulation, "_match", recording):
                 _, log = run_round(fresh_state(), data, round_config((1,)), data.instances)
             return offered, [(ev.outcome, ev.gt_id) for ev in log.events]
 
