@@ -14,7 +14,11 @@ The crowded runs keep every third ground-truth object of
 8 requests. Most requests there find no object or repeat an earlier one,
 so null requests come up in almost every round and suppressions climb to
 66 in one round: they pin how requests charged in earlier rounds
-suppress later ones.
+suppress later ones. A third crowded run ranks by far_depth under filters
+that leave records out.
+
+The last pins are ``rank_pool`` itself: every id and ``repr(score)`` it
+yields, for each of the eight kinds, on one fixed pool full of ties.
 """
 
 import hashlib
@@ -22,8 +26,12 @@ from dataclasses import replace
 
 import pytest
 
-from alsim.selection import StrategyConfig
+from alsim.features import Coverage, FusedCosineMetric
+from alsim.records import ViewSpec
+from alsim.selection import DepthFilters, StrategyConfig, rank_pool
 from alsim.simulation import CampaignConfig, SyntheticSpec, generate_synthetic, run_campaign
+
+from conftest import make_record
 
 # name: (strategy kind, pca_var_keep)
 RUNS = {
@@ -31,6 +39,9 @@ RUNS = {
     "coreset_pca": ("coreset", 0.95),
     "random": ("random", None),
     "ens_depth_var": ("ens_depth_var", None),
+    "confidence": ("confidence", None),
+    "close_depth": ("close_depth", None),
+    "far_depth": ("far_depth", None),
 }
 
 # (name, seed): (events sha256, curve y values)
@@ -66,6 +77,30 @@ PINNED = {
     ("ens_depth_var", 1): (
         "762fcbe3af349a62c04b7320bb5bbae329f9ae6e274c65e9266ad828409ca205",
         (1.1806551299900285, 0.9042215809264772, 0.004377257505618237, 0.004377257505618237, 0.004377257505618237),
+    ),
+    ("confidence", 0): (
+        "fddf967473100f7dcbe39ffa37ef67bbd560122cf717f8f4653e3fc9cc791862",
+        (1.1796983488812058, 0.8479803907408643, 0.005321429082834062, 0.0033279267429280335, 0.0032547227276784607),
+    ),
+    ("confidence", 1): (
+        "18681f24d5c1d3e97d8fff699959835ca08017028bc49b05c0f1d769e4fb27c9",
+        (1.1806551299900285, 0.9156575796705895, 0.909932369125743, 0.004662786967117638, 0.004377257505618237),
+    ),
+    ("close_depth", 0): (
+        "feaacf03494b5663ca0ff16349d8645c196faa43b2cbeac7781023c1763417e2",
+        (1.1796983488812058, 0.9136931799952019, 0.7019614643983236, 0.003497035345774724, 0.003033506564166011),
+    ),
+    ("close_depth", 1): (
+        "baa6abd58b6f985fec41c1a249d6d594bc9bdbb960059896ee1f92e6f66df80f",
+        (1.1806551299900285, 0.8400410601548691, 0.7996323412357921, 0.003766868897492004, 0.0037173124733869134),
+    ),
+    ("far_depth", 0): (
+        "d484a3c52714ce3621557da0e20cb8bcd242be28cee09ea88161843876b9079e",
+        (1.1796983488812058, 0.8582062106681891, 0.005321429082834062, 0.0033279267429280335, 0.0032547227276784607),
+    ),
+    ("far_depth", 1): (
+        "284609a204b7404c36f55e36057b87286a19b90272e85036de2f70643898fe24",
+        (1.1806551299900285, 0.9156575796705895, 0.9156575796705895, 0.004662786967117638, 0.004662786967117638),
     ),
 }
 
@@ -147,3 +182,95 @@ def test_crowded_campaign_same_picks_same_curves(kind, seed):
     digest, ys = CROWDED[kind, seed]
     assert events_digest(state) == digest
     assert [p.y for p in curve.points] == pytest.approx(ys, rel=1e-9, abs=1e-9)
+
+
+# The crowded data of CROWDED under far_depth filters that leave out
+# every instance below 45 px or at 30 m and beyond.
+# seed: (events sha256, curve y values)
+FAR_FILTERED = {
+    0: (
+        "c595c58a3c7d9f9d232c66f0791483d7fc2f2463887c965d63d3bebb127a2e80",
+        (
+            1.0547212788568199, 1.0547212788568199, 0.0037817010552448904, 0.0037817010552448904,
+            0.0037817010552448904, 0.0037817010552448904, 0.0033691253470767846, 0.0033343142704870266,
+            0.0033343142704870266, 0.00313838338338579, 0.00313838338338579,
+        ),
+    ),
+    1: (
+        "cae2bb0022e69d94988c64d4288975f9c744b1c100adfc90b1ea92f82f8b3626",
+        (
+            1.319726678335876, 0.004928628374501254, 0.0047448508093124175, 0.0047448508093124175,
+            0.0047448508093124175, 0.004472194111219907, 0.004472194111219907, 0.0044108812801476605,
+            0.004014146909516625, 0.004014146909516625, 0.004014146909516625, 0.004014146909516625,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FAR_FILTERED))
+def test_crowded_far_depth_leaves_filtered_records_out(seed):
+    data = generate_synthetic(SyntheticSpec(4, 60), seed=seed)
+    data = replace(data, ground_truth=data.ground_truth[::3])
+    filters = DepthFilters(min_px_height=45.0, max_depth=30.0)
+    cfg = CampaignConfig(
+        strategy=StrategyConfig(kind="far_depth", seed=seed, far_depth_filters=filters),
+        round_budgets=tuple(range(8, 97, 8)),
+    )
+    curve, state = run_campaign(cfg, data)
+    left_out = {r.instance_id for r in data.instances if r.box2d.h < 45.0 or r.pred_depth >= 30.0}
+    requested = {ev.instance_id for log in state.history for ev in log.events}
+    assert left_out and not requested & left_out
+    assert sum(log.suppressed for log in state.history) > 0
+    digest, ys = FAR_FILTERED[seed]
+    assert events_digest(state) == digest
+    assert [p.y for p in curve.points] == pytest.approx(ys, rel=1e-9, abs=1e-9)
+
+
+def tied_pool():
+    """24 records, ids shuffled against pool order, with every score tied
+    several ways: two confidences (one of them 0), three depths (one past
+    far_depth's 50 m), box heights below, at and above its 25 px, depth
+    variances of 0, and features repeated so greedy distances tie too."""
+    return [
+        make_record(
+            (7 * i + 3) % 24,
+            size=(10.0, (10.0, 25.0, 40.0)[i % 3]),
+            features={"a": [float(i % 4), 1.0], "b": [1.0, float(i % 3)]},
+            pred_depth=(10.0, 30.0, 60.0, 30.0)[i % 4],
+            confidence=(0.0, 0.5)[i % 2],
+            aux_depths=(None, (30.0,), (10.0, 60.0))[i % 3],
+        )
+        for i in range(24)
+    ]
+
+
+VIEWS = (ViewSpec("a", 2, 0.5), ViewSpec("b", 2, 0.5))
+
+# kind: sha256 of every (id, repr(score)) ``rank_pool`` yields on
+# ``tied_pool()``, one line each, best first.
+RANKED = {
+    "random": "1a7e7225a59aa95eeed8116f775d70a684e2683bab9ff04bc63abfa05aa940de",
+    "confidence": "4f9ef2d55d07dd3dbe41cac72ef30645a221d0d8b2c9b43cd5f09d1fb4e59f4e",
+    "ens_depth_var": "29a6bf5957636be7faf13af725829b09453c3768b4f7e49f2b6794529700c6fd",
+    "close_depth": "4a2f085c43dc0366e71ac0b82bd68bc54bc3875164e71f60309483ea8e72b2e3",
+    "far_depth": "5ebc0a09229bc3300219ec875a4df21d73ff397a31f488577c812af33979d1a9",
+    "coreset": "19f06ba53e99ef981b304ca7b496393d8285e6c24cc664dbe9235d496354c167",
+    "coreset_box3d": "93c9acf00fb829d7712164df1c044a4dfa16f1f1e6dc76cc6fd235abb16d19eb",
+    "ideal": "54fcf21ae4f78a921b381ac6bc7eb59be602906d644e4f5bf8a4366cdb243f2e",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RANKED))
+def test_rank_pool_ids_and_scores_on_tied_pool(kind):
+    pool = tied_pool()
+    views = {"coreset": VIEWS, "coreset_box3d": VIEWS[:1], "ideal": VIEWS[1:]}.get(kind, ())
+    coverage = None
+    if views:
+        labeled = [make_record(100, features={"a": [1.0, 0.0], "b": [0.0, 1.0]})]
+        metric = FusedCosineMetric(views)
+        coverage = Coverage(metric, metric.embed([*pool, *labeled]))
+        coverage.fold([len(pool)])
+    h = hashlib.sha256()
+    for record, score in rank_pool(pool, StrategyConfig(kind=kind, views=views, seed=7), coverage, seed=11):
+        h.update(f"{record.instance_id},{score!r}\n".encode())
+    assert h.hexdigest() == RANKED[kind]
