@@ -1,7 +1,7 @@
 """Acquisition strategies: one ranking core for every strategy kind.
 
-``rank_pool`` is the only ordering. It yields (record, score) pairs
-best-first; a k-instance batch is its first k items.
+``rank_pool`` yields a pool's (record, score) pairs best-first; a
+k-instance batch is its first k items.
 
 =================  ==================================  =====================================  ==============
 kind               score (higher ranks earlier)        eligible records                       ties
@@ -23,8 +23,12 @@ repeatedly pick the pool instance with the largest minimum distance to
 the reference set, then fold the pick into the reference set. The pick
 loop starts from the unfolded rows of a ``features.Coverage`` (the pool's
 rows and their min distances to the folded, labeled rows), so a k-pick
-batch costs O(k * |pool|) distance evaluations and embeds nothing. The
-other kinds score their eligible records once and sort once.
+batch costs O(k * |pool|) distance evaluations and embeds nothing.
+
+The other kinds score every record once and sort once (``_order``). All
+but ``random`` score a record by its own fields alone, and (-score, id)
+is a strict total order, so a campaign orders its whole dataset once and
+each round walks that order restricted to the round's pool.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -210,19 +214,18 @@ def image_level_select(
 
 
 def validate_strategy_setup(cfg: StrategyConfig, pool: Sequence[InstanceRecord]) -> None:
-    """Reject pools missing the fields a strategy depends on.
+    """Reject pools missing the fields a strategy ranks by, naming how many
+    records miss one and at most the first five of their ids.
 
-    Diversity strategies only need features, so datasets without
-    confidence or depth stay usable for them.
+    Diversity strategies only need features, so they rank pools without
+    confidence or depth; campaigns and rounds need every depth regardless.
     """
-    if cfg.kind == "confidence":
-        missing = [r.instance_id for r in pool if r.confidence is None]
+    if cfg.kind not in ("random", *CORESET_KINDS):
+        column = "confidence" if cfg.kind == "confidence" else "pred_depth"
+        missing = [r.instance_id for r in pool if getattr(r, column) is None]
         if missing:
-            raise ValueError(f"confidence strategy: instances missing confidence: {missing}")
-    if cfg.kind in ("close_depth", "far_depth", "ens_depth_var"):
-        missing = [r.instance_id for r in pool if r.pred_depth is None]
-        if missing:
-            raise ValueError(f"instances missing pred_depth: {missing}")
+            n = f"{len(missing)} of {len(pool)}"
+            raise ValueError(f"{cfg.kind} strategy: {column} missing on {n} instances, first {missing[:5]}")
     if cfg.kind in CORESET_KINDS and pool:
         names = set(pool[0].features)
         absent = [v.name for v in cfg.views if v.name not in names]
@@ -230,23 +233,27 @@ def validate_strategy_setup(cfg: StrategyConfig, pool: Sequence[InstanceRecord])
             raise ValueError(f"strategy {cfg.kind!r}: pool lacks feature views {absent}")
 
 
-def _far_depth_eligible(r: InstanceRecord, f: DepthFilters) -> bool:
-    return r.box2d.h >= f.min_px_height and r.pred_depth < f.max_depth
-
-
-def _column(records: Sequence[InstanceRecord], value: Callable[[InstanceRecord], float]) -> np.ndarray:
-    return np.array([value(r) for r in records], dtype=np.float64)
-
-
-# Non-greedy kinds: (eligibility or None for the whole pool, scores of the
-# eligible records given the round seed). Higher scores rank earlier.
-_RANKERS = {
-    "random": (None, lambda rs, seed: np.random.default_rng(seed).random(len(rs))),
-    "confidence": (None, lambda rs, seed: -_column(rs, lambda r: r.confidence)),
-    "ens_depth_var": (None, lambda rs, seed: _column(rs, ensemble_depth_variance)),
-    "close_depth": (None, lambda rs, seed: -_column(rs, lambda r: r.pred_depth)),
-    "far_depth": (_far_depth_eligible, lambda rs, seed: _column(rs, lambda r: r.pred_depth)),
-}
+def _order(
+    records: Sequence[InstanceRecord], ids: np.ndarray, cfg: StrategyConfig, seed: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """A non-greedy kind's ranking of ``records`` (``ids`` their instance ids):
+    the best-first positions of the records it ranks, ties to the lowest id
+    and far_depth's filtered records left out, and every record's score."""
+    if cfg.kind == "random":
+        scores = np.random.default_rng(cfg.seed if seed is None else seed).random(len(records))
+    elif cfg.kind == "ens_depth_var":
+        scores = np.array([ensemble_depth_variance(r) for r in records], dtype=np.float64)
+    else:
+        column = "confidence" if cfg.kind == "confidence" else "pred_depth"
+        scores = np.array([getattr(r, column) for r in records], dtype=np.float64)
+        if cfg.kind != "far_depth":
+            scores = -scores
+    ranked = np.arange(len(records))
+    if cfg.kind == "far_depth":
+        f = cfg.far_depth_filters
+        heights = np.array([r.box2d.h for r in records], dtype=np.float64)
+        ranked = np.flatnonzero((heights >= f.min_px_height) & (scores < f.max_depth))
+    return ranked[np.lexsort((ids[ranked], -scores[ranked]))], scores
 
 
 def rank_pool(
@@ -260,20 +267,16 @@ def rank_pool(
     Greedy-diversity kinds rank lazily from ``coverage`` (left unchanged),
     whose folded rows are the labeled set and whose unfolded rows are
     ``pool``'s, in order, so callers can stop as soon as a round budget is
-    filled; the remaining kinds score their eligible records once and sort
-    by descending score, ties to the lowest instance_id. ``seed``
-    overrides the config seed for per-round randomness.
+    filled; the remaining kinds score every record once and sort the ones
+    they rank by descending score, ties to the lowest instance_id.
+    ``seed`` overrides the config seed for per-round randomness.
     """
     validate_strategy_setup(cfg, pool)
     yield from _ranked(pool, _instance_ids(pool), cfg, coverage, seed)
 
 
 def _ranked(
-    pool: Sequence[InstanceRecord],
-    ids: np.ndarray,
-    cfg: StrategyConfig,
-    coverage: Coverage | None,
-    seed: int | None,
+    pool: Sequence[InstanceRecord], ids: np.ndarray, cfg: StrategyConfig, coverage: Coverage | None, seed: int | None
 ) -> Iterator[tuple[InstanceRecord, float]]:
     """``rank_pool`` of a pool already checked against the strategy, with
     ``ids`` its instance ids in order, such as a slice of
@@ -282,12 +285,7 @@ def _ranked(
         if coverage is None:
             raise ValueError(f"strategy {cfg.kind!r} needs a coverage of the labeled set")
         yield from _farthest_first(coverage, pool, ids)
-        return
-
-    eligible, score = _RANKERS[cfg.kind]
-    if eligible is not None:
-        keep = [i for i, r in enumerate(pool) if eligible(r, cfg.far_depth_filters)]
-        pool, ids = [pool[i] for i in keep], ids[keep]
-    scores = score(pool, cfg.seed if seed is None else seed)
-    for i in np.lexsort((ids, -scores)).tolist():
-        yield pool[i], float(scores[i])
+    else:
+        order, scores = _order(pool, ids, cfg, seed)
+        for i in order.tolist():
+            yield pool[i], float(scores[i])

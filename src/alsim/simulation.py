@@ -9,16 +9,13 @@ rows are folded into every ``features.Coverage`` the campaign owns: one per
 distinct set of views, shared by a greedy strategy and the campaign's own
 covering-radius curve when their views agree.
 
-The oracle's per-image state is one ``OracleIndex`` per campaign: the
-charged requests by image and class, which duplicate suppression reads,
-each image's ground truth with an open mask that a match clears, and the
-instances it has suppressed. Each request computes its labeling radius
-once, for the duplicate check, the truth window and the match. Priors
-only grow, so a suppressed instance stays suppressed, and its later
-requests are suppressed from that memo without a scan of the priors;
-the memo holds under one ``h_scale``, and ``run_round`` refuses an index
-used under another. A request is matched against only the open objects
-inside its labeling window, so a round's oracle cost is in its requests,
+A round's oracle loop walks a ranking of the pool it is given. The
+campaign orders its dataset once for the kinds that score an instance by
+its own fields, and ranks each round's pool anew for ``random`` and the
+greedy kinds. The oracle's state is one ``OracleIndex`` per campaign.
+Each request computes its labeling radius once, for the duplicate check,
+the truth window and the match, and is matched against only the open
+objects inside that window, so a round's oracle cost is in its requests,
 not in the dataset's size.
 
 The module also carries the training-side schedules of the simulated
@@ -32,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -43,7 +40,7 @@ from .features import Coverage, FusedCosineMetric, compress_views
 from .geometry import Radius2D, _match, _suppresses, labeling_radius, match_request, suppress_duplicate
 from .metrics import Curve, CurvePoint
 from .records import Box2D, CameraModel, Dataset, GroundTruthObject, InstanceRecord, ViewSpec, _whole
-from .selection import CORESET_KINDS, StrategyConfig, _instance_ids, _ranked, rank_pool, validate_strategy_setup
+from .selection import CORESET_KINDS, StrategyConfig, _instance_ids, _order, _ranked, rank_pool, validate_strategy_setup
 
 __all__ = [
     "LOSS_SUBTASKS",
@@ -307,6 +304,13 @@ class OracleIndex:
         }
 
 
+def _require_depth(records: Sequence[InstanceRecord], who: str) -> None:
+    missing = [r.instance_id for r in records if r.pred_depth is None]
+    if missing:
+        n = f"{len(missing)} of {len(records)}"
+        raise ValueError(f"{who} needs pred_depth on every instance; missing on {n}, first {missing[:5]}")
+
+
 def run_round(
     state: RoundState,
     data: Dataset,
@@ -317,62 +321,61 @@ def run_round(
 ) -> tuple[RoundState, RoundLog]:
     """Run one selection round up to its cumulative budget target.
 
-    The strategy ranks ``pool`` (records of ``data``) as given; greedy
-    kinds rank from ``coverage``, which is left unchanged, or from one
-    built from ``state``'s labels when it is not given. Requests are
-    issued in rank order, and each request's labeling radius is computed
-    once. A request within 95% of that radius of an earlier same-class
-    request in the same image is suppressed without charge, and so is,
-    without a scan, a request for an instance the index suppressed before.
-    Every other request is charged, matched or not, against the open
-    ground truth inside its labeling window; matched ground truth moves
-    to the labeled set. The round stops once the cumulative requested
-    total reaches this round's budget target or the ranking is exhausted.
-    Earlier rounds are read from ``oracle``, which the round updates in
-    place and advances to the next round, or from an index built from
-    ``state``'s ledger when it is not given. The loop records only the
-    events (and the charged count the budget needs); the round log's
-    counts and the returned state's labels and ledger are read off those
-    events.
+    The strategy ranks ``pool`` (records of ``data``) as given, with the
+    round's own seed; greedy kinds rank from ``coverage``, which is left
+    unchanged, or from one built from ``state``'s labels when it is not
+    given. Requests are issued in rank order, and each request's labeling
+    radius is computed once. A request within 95% of that radius of an
+    earlier same-class request in the same image is suppressed without
+    charge, and so is, without a scan, a request for an instance the index
+    suppressed before. Every other request is charged, matched or not,
+    against the open ground truth inside its labeling window; matched
+    ground truth moves to the labeled set. The round stops once the
+    cumulative requested total reaches this round's budget target or the
+    ranking is exhausted. Earlier rounds are read from ``oracle``, which
+    the round updates in place and advances to the next round, or from an
+    index built from ``state``'s ledger when it is not given. The loop
+    records only the events (and the charged count the budget needs); the
+    round log's counts and the returned state's labels and ledger are read
+    off those events.
 
     Raises:
-        ValueError: if the budget target lies below the current total, if
-            ``oracle`` is at another round than ``state`` or was used
-            under another ``h_scale`` than ``cfg``'s, or if a requested
-            instance lacks the depth the oracle window needs.
+        ValueError: before any request, if a pool record lacks its depth
+            or a field the strategy ranks by, if the budget target lies
+            below the current total, or if ``oracle`` is at another round
+            than ``state`` or was used under another ``h_scale``.
     """
+    _require_depth(pool, "the round's pool")
     validate_strategy_setup(cfg.strategy, pool)
-    return _run_round(state, data, cfg, pool, _instance_ids(pool), coverage, oracle)
+    if cfg.strategy.kind in CORESET_KINDS and coverage is None:
+        coverage = _coverage({}, data, cfg.strategy.views, cfg.pca_var_keep)
+        coverage.fold(np.flatnonzero(_labeled_mask(state, data.instances)))
+    seed = _round_seed(state.rng_seed, state.round_index, 1)
+    ranking = (r for r, _ in _ranked(pool, _instance_ids(pool), cfg.strategy, coverage, seed))
+    return _run_round(state, data, cfg, ranking, oracle)
 
 
 def _run_round(
     state: RoundState,
     data: Dataset,
     cfg: CampaignConfig,
-    pool: Sequence[InstanceRecord],
-    ids: np.ndarray,
-    coverage: Coverage | None,
+    ranking: Iterable[InstanceRecord],
     oracle: OracleIndex | None,
 ) -> tuple[RoundState, RoundLog]:
-    """``run_round`` of a pool already checked against the strategy, with
-    ``ids`` its instance ids in order; the campaign slices them from
-    ``Dataset.instance_ids``."""
+    """``run_round``'s oracle loop over ``ranking``, a checked pool's records
+    best-first. It is pulled only below the target and left right after the
+    charge that reaches it: a greedy ranking folds a pick only when asked."""
     if state.round_index >= len(cfg.round_budgets):
         raise ValueError(f"no budget configured for round {state.round_index}")
     target = cfg.round_budgets[state.round_index]
     if target < state.requested_total:
-        raise ValueError(
-            f"budget target {target} below already requested {state.requested_total}"
-        )
+        raise ValueError(f"budget target {target} below already requested {state.requested_total}")
     if oracle is None:
         oracle = OracleIndex(data, state)
     elif oracle.round_index != state.round_index:
         raise ValueError(f"oracle index is at round {oracle.round_index}, state at round {state.round_index}")
     elif oracle.h_scale not in (None, cfg.h_scale):
         raise ValueError(f"oracle index was used under h_scale {oracle.h_scale}, this round has {cfg.h_scale}")
-    if cfg.strategy.kind in CORESET_KINDS and coverage is None:
-        coverage = _coverage({}, data, cfg.strategy.views, cfg.pca_var_keep)
-        coverage.fold(np.flatnonzero(_labeled_mask(state, data.instances)))
     # Marked in progress until the loop ends, so an index left half
     # updated by an error is refused by the next round.
     oracle.round_index = None
@@ -380,16 +383,7 @@ def _run_round(
 
     events: list[RequestEvent] = []
     charged = 0
-    round_seed = _round_seed(state.rng_seed, state.round_index, 1)
-
-    # Started only below the target, and left right after the charge that
-    # reaches it: a greedy ranking folds a pick only when asked for the next.
-    ranking = ()
-    if state.requested_total < target:
-        ranking = _ranked(pool, ids, cfg.strategy, coverage, round_seed)
-    for record, _score in ranking:
-        if record.pred_depth is None:
-            raise ValueError(f"instance {record.instance_id}: pred_depth required to issue a request")
+    for record in ranking if state.requested_total < target else ():
         if record.instance_id in oracle.suppressed:
             events.append(RequestEvent(state.round_index, record.instance_id, record.image_id, "suppressed"))
             continue
@@ -486,10 +480,8 @@ def run_campaign(
         ValueError: without a hook, when no seeded image holds an
             instance, before any round runs.
     """
-    validate_strategy_setup(cfg.strategy, list(data.instances))
-    missing_depth = [r.instance_id for r in data.instances if r.pred_depth is None]
-    if missing_depth:
-        raise ValueError(f"campaign needs pred_depth on every instance; missing: {missing_depth[:5]}")
+    _require_depth(data.instances, "campaign")
+    validate_strategy_setup(cfg.strategy, data.instances)
 
     image_ids = list(data.images)
     n_seed = int(round(cfg.initial_fraction * len(image_ids)))
@@ -531,11 +523,21 @@ def run_campaign(
     points = [CurvePoint(0.0, float(measure(labeled, pool)))]
     oracle = OracleIndex(data, state)
     ids = data.instance_ids
+    # Kinds that score an instance by its own fields order the dataset once:
+    # (-score, id) is a strict total order, so its restriction is the pool's.
+    order = None
+    if cfg.strategy.kind not in ("random", *CORESET_KINDS):
+        order = _order(data.instances, ids, cfg.strategy, None)[0]
 
     for _ in cfg.round_budgets:
         if not pool:
             break
-        state, log = _run_round(state, data, cfg, pool, ids[~mask], coverage, oracle)
+        if order is not None:
+            ranking = rows[order[~mask[order]]]
+        else:
+            seed = _round_seed(state.rng_seed, state.round_index, 1)
+            ranking = (r for r, _ in _ranked(pool, ids[~mask], cfg.strategy, coverage, seed))
+        state, log = _run_round(state, data, cfg, ranking, oracle)
         if log.charged == 0:
             break
         # Rows of this round's matches, in dataset order.

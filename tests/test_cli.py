@@ -644,6 +644,25 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config_path), "--out", str(out), "--seed", "0"]) == 0
         assert (out / "seed_0" / "curve.csv").exists()
 
+    @pytest.mark.parametrize(
+        "kind,field,message",
+        [
+            ("confidence", "confidence", "confidence strategy: confidence missing on 24 of 24 instances, first"),
+            ("close_depth", "pred_depth", "campaign needs pred_depth on every instance; missing on 24 of 24, first"),
+            ("coreset", "pred_depth", "campaign needs pred_depth on every instance; missing on 24 of 24, first"),
+        ],
+    )
+    def test_missing_field_refusal_names_count_and_first_ids(self, sim_setup, capsys, kind, field, message):
+        # One short error line whatever the export's size.
+        config, config_path, tmp_path = sim_setup
+        data = generate_synthetic(SyntheticSpec(clusters=4, per_cluster=6), seed=2)
+        data = replace(data, instances=tuple(replace(r, **{field: None}) for r in data.instances))
+        write_dataset(data, tmp_path / "bare" / "manifest.jsonl")
+        config.update(dataset=str(tmp_path / "bare" / "manifest.jsonl"), strategy={"kind": kind})
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {message} [0, 1, 2, 3, 4]\n"
+
 
 class TestNaurc:
     def write_curve(self, path, pairs, comment=""):

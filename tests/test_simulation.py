@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alsim import features, geometry, simulation
+from alsim import features, geometry, selection, simulation
 from alsim.dataio import load_dataset, write_dataset
 from alsim.features import FusedCosineMetric, fused_distance, pca_fit, pca_transform
 from alsim.geometry import match_request, suppress_duplicate
@@ -310,6 +310,26 @@ class TestRunRound:
         assert [(ev.outcome, ev.gt_id) for ev in log.events] == [("matched", 100), ("matched", 101)]
         assert state.labeled_gt == {100, 101}
 
+    def test_depthless_pool_refused_before_any_request(self):
+        # The budget stops at the first request, so the depthless record
+        # would never be requested; the pool is refused all the same, and
+        # the index is left at its round.
+        data = build_dataset(
+            [
+                make_record(0, center=(60.0, 50.0), pred_depth=10.0, confidence=0.1, size=(10, 10)),
+                make_record(1, center=(120.0, 50.0), pred_depth=None, confidence=0.9, size=(10, 10)),
+            ],
+            [make_gt(100, center=(60.0, 50.0), pixel_height=60.0)],
+        )
+        oracle = OracleIndex(data, fresh_state())
+        cfg = round_config((1,), kind="confidence")
+        message = r"^the round's pool needs pred_depth on every instance; missing on 1 of 2, first \[1\]$"
+        with pytest.raises(ValueError, match=message):
+            run_round(fresh_state(), data, cfg, list(data.instances), oracle=oracle)
+        assert oracle.round_index == 0
+        _, log = run_round(fresh_state(), data, cfg, data.instances[:1], oracle=oracle)
+        assert [ev.outcome for ev in log.events] == ["matched"]
+
     @pytest.mark.parametrize("kind,seed", [("random", 2), ("coreset", 0)])
     def test_next_round_reads_only_the_ledger(self, kind, seed):
         # Crowded images with two thirds of the ground truth dropped: the
@@ -367,6 +387,29 @@ class TestRunCampaign:
         # no request or pass no instance, without a word.
         with pytest.raises(ValueError, match="must be a number, got nan"):
             build()
+
+    @pytest.mark.parametrize("kind", ["close_depth", "random", "coreset"])
+    def test_depthless_instances_refused_once_with_a_bounded_list(self, kind):
+        data = generate_synthetic(small_spec(), seed=0)
+        data = replace(data, instances=tuple(
+            replace(r, pred_depth=None) if r.instance_id % 3 == 0 else r for r in data.instances
+        ))
+        cfg = CampaignConfig(StrategyConfig(kind, views=data.views if kind == "coreset" else ()), (4, 8))
+        message = r"^campaign needs pred_depth on every instance; missing on 8 of 24, first \[0, 3, 6, 9, 12\]$"
+        with pytest.raises(ValueError, match=message):
+            run_campaign(cfg, data, self.hook)
+
+    def test_field_scores_computed_once_per_campaign(self, monkeypatch):
+        # The campaign orders the dataset once, so each instance's depth
+        # variance is computed once, not once per round it stays in the pool.
+        scored = []
+        real = selection.ensemble_depth_variance
+        monkeypatch.setattr(selection, "ensemble_depth_variance", lambda r: scored.append(r.instance_id) or real(r))
+        data = generate_synthetic(SyntheticSpec(8, 25), seed=0)
+        cfg = CampaignConfig(StrategyConfig("ens_depth_var"), tuple(range(10, 101, 10)))
+        _, state = run_campaign(cfg, data, self.hook)
+        assert len(state.history) == 10
+        assert len(scored) == len(data.instances)
 
     def test_integral_float_and_numpy_budgets_accepted(self):
         budgets = (400.0, np.int64(800), np.float64(1200.0), 10**400)
@@ -746,7 +789,9 @@ GRID_DEPTHS = (10.0, 20.0, 8.0)
 def grid_campaigns(draw):
     """Crowded images on a 5 px grid, one object near each instance with
     some dropped, ids shuffled against dataset order, three classes, and
-    objects below ``min_px_height``; a random campaign over them."""
+    objects below ``min_px_height``; a campaign of any non-greedy kind over
+    them. Scores tie everywhere: three depths, one confidence, no depth
+    variance, and box heights on both sides of far_depth's 25 px filter."""
     grid = lambda lo, hi: 5.0 * draw(st.integers(lo, hi))
     instances, objects = [], []
     for image in range(draw(st.integers(1, 3))):
@@ -754,7 +799,7 @@ def grid_campaigns(draw):
             center = (grid(0, 8), grid(0, 4))
             instances.append(make_record(
                 len(instances), image_id=f"img{image}", class_id=draw(st.integers(0, 2)), center=center,
-                pred_depth=draw(st.sampled_from(GRID_DEPTHS)), size=(10, 10),
+                pred_depth=draw(st.sampled_from(GRID_DEPTHS)), size=(10, draw(st.sampled_from([10.0, 40.0]))),
             ))
             if draw(st.booleans()):
                 objects.append((f"img{image}", (center[0] + grid(-5, 5), center[1] + grid(-5, 5)),
@@ -763,7 +808,10 @@ def grid_campaigns(draw):
     gts = [make_gt(i, image_id=image, center=c, pixel_height=h) for i, (image, c, h) in zip(gt_ids, objects)]
     budgets = tuple(itertools.accumulate(draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))))
     cfg = CampaignConfig(
-        strategy=StrategyConfig(kind="random", seed=draw(st.integers(0, 2**16))),
+        strategy=StrategyConfig(
+            kind=draw(st.sampled_from([k for k in STRATEGY_KINDS if k not in CORESET_KINDS])),
+            seed=draw(st.integers(0, 2**16)),
+        ),
         round_budgets=budgets,
         initial_fraction=draw(st.sampled_from([0.0, 0.5])),
     )
