@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .dataio import DatasetError, _write_all_or_none, load_dataset, read_raw_export, write_dataset
+from .dataio import DatasetError, _raw_columns, _write_all_or_none, load_dataset, write_dataset
 from .metrics import Curve, naurc
 from .records import Dataset, ViewSpec, validate_dataset
 from .selection import CORESET_KINDS, STRATEGY_KINDS, DepthFilters, StrategyConfig
@@ -54,10 +54,11 @@ def _write_atomically(directory: Path, texts: dict[str, str]) -> None:
 
 
 def cmd_ingest(args) -> int:
-    dataset = read_raw_export(args.input)
-    if not dataset.instances:
+    # The export is read, checked and written as columns: no record is built.
+    columns = _raw_columns(args.input)
+    if not columns.instance_id:
         raise _RunError("empty dataset (no instance records)")
-    violations = validate_dataset(dataset)
+    violations = validate_dataset(columns)
     if violations:
         for v in violations:
             print(f"violation: {v}", file=sys.stderr)
@@ -66,7 +67,7 @@ def cmd_ingest(args) -> int:
     out_dir = Path(args.output)
     manifest = out_dir / "manifest.jsonl"
     try:
-        write_dataset(dataset, manifest)
+        write_dataset(columns, manifest)
     except OSError as exc:
         raise _RunError(f"cannot write {out_dir}: {exc}") from None
     print(manifest)

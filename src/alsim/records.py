@@ -6,7 +6,9 @@ import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from numbers import Integral
+from operator import attrgetter
 
 import numpy as np
 
@@ -29,7 +31,7 @@ class CameraModel:
     f_y: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box2D:
     """Axis-aligned 2D box given by center, width, and height in pixels."""
 
@@ -48,7 +50,7 @@ class ViewSpec:
     lam: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class InstanceRecord:
     """One detector prediction in the unlabeled pool.
 
@@ -99,7 +101,7 @@ class _MatrixRow(Mapping):
         return len(self.matrices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruthObject:
     """An annotatable object known to the oracle."""
 
@@ -170,6 +172,89 @@ class Dataset:
         raise KeyError(f"unknown view {name!r}")
 
 
+# The record field that each column of ``_Columns`` lists.
+_INSTANCE_FIELDS = {
+    "image_id": "image_id",
+    "instance_id": "instance_id",
+    "class_id": "class_id",
+    "cx": "box2d.cx",
+    "cy": "box2d.cy",
+    "w": "box2d.w",
+    "h": "box2d.h",
+    "pred_depth": "pred_depth",
+    "confidence": "confidence",
+    "aux_depths": "aux_depths",
+}
+_GT_FIELDS = {
+    "gt_id": "gt_id",
+    "gt_image_id": "image_id",
+    "gt_class_id": "class_id",
+    "center2d": "center2d",
+    "depth": "depth",
+    "pixel_height": "pixel_height",
+}
+
+
+@dataclass(frozen=True, eq=False)
+class _Columns:
+    """A dataset as one list per record field: the form the loader reads
+    lines into, and the one validation and writing read.
+
+    Entry ``i`` of each instance column is that field of the ``i``-th
+    instance, and likewise for the ground-truth columns; those prefixed
+    ``gt_`` share their name with an instance field. The entries are the
+    values the records hold: the loader checks and converts each column
+    once, and a dataset stacks its records' fields as they are.
+    ``matrices`` holds each view's features. ``feature_shapes`` is filled
+    only for a dataset stacked from records, whose vectors may be
+    misshapen or absent: per view name, each row's vector shape, or
+    ``None`` where the record has no vector. The loader checks each
+    matrix as it reads it instead.
+    """
+
+    camera: CameraModel
+    views: tuple[ViewSpec, ...]
+    images: dict[str, int]
+    matrices: Mapping[str, np.ndarray]
+    image_id: list[str]
+    instance_id: list[int]
+    class_id: list[int]
+    cx: list[float]
+    cy: list[float]
+    w: list[float]
+    h: list[float]
+    pred_depth: list[float | None]
+    confidence: list[float | None]
+    aux_depths: list[tuple[float, ...] | None]
+    gt_id: list[int]
+    gt_image_id: list[str]
+    gt_class_id: list[int]
+    center2d: list[tuple[float, float]]
+    depth: list[float]
+    pixel_height: list[float]
+    feature_shapes: Mapping[str, list[tuple[int, ...] | None]] = field(default_factory=dict)
+
+    @classmethod
+    def stack(cls, d: Dataset) -> _Columns:
+        """The columns of ``d``'s records; a view's matrix is stacked only
+        if each of its rows has the declared shape."""
+        inst, gts = d.instances, d.ground_truth
+        shapes: dict[str, list] = {}
+        matrices = {}
+        for v in d.views:
+            if v.name in shapes:
+                continue
+            vecs = (r.features.get(v.name) for r in inst)
+            shapes[v.name] = rows = [None if vec is None else vec.shape for vec in vecs]
+            if rows.count((v.dim,)) == len(rows):
+                matrices[v.name] = d.matrix(v.name)
+        columns = {name: list(map(attrgetter(f), inst)) for name, f in _INSTANCE_FIELDS.items()}
+        columns.update((name, list(map(attrgetter(f), gts))) for name, f in _GT_FIELDS.items())
+        return cls(
+            camera=d.camera, views=d.views, images=d.images, matrices=matrices, feature_shapes=shapes, **columns
+        )
+
+
 def _finite(*values: float) -> bool:
     return all(math.isfinite(v) for v in values)
 
@@ -177,7 +262,8 @@ def _finite(*values: float) -> bool:
 def _whole(value) -> int:
     """``value`` as an int: 3, 3.0 and numpy numbers like them pass; a
     fraction, a non-finite float, a boolean, a string or anything else
-    raises ValueError. Plain type tests first: parsers call this per line."""
+    raises ValueError. Plain type tests first: the loader calls this per
+    value of a column that needs converting."""
     if type(value) is int:
         return value
     if isinstance(value, float) and value.is_integer() or isinstance(value, Integral) and not isinstance(value, bool):
@@ -187,8 +273,8 @@ def _whole(value) -> int:
 
 def _real(value) -> float:
     """A JSON number as a float; a boolean, a string or anything else
-    raises ValueError. Plain type tests only: parsers call this per field
-    of every line."""
+    raises ValueError. Plain type tests only: the loader calls this per
+    value of a column that needs converting."""
     if type(value) is float:
         return value
     if type(value) is int:
@@ -196,21 +282,50 @@ def _real(value) -> float:
     raise ValueError(f"expected a number, got {value!r}")
 
 
-def validate_dataset(d: Dataset) -> list[str]:
+def _repeats(ids: list) -> set[int]:
+    """The rows whose id an earlier row already has."""
+    if len(set(ids)) == len(ids):
+        return set()
+    seen: set = set()
+    rows = set()
+    for i, x in enumerate(ids):
+        if x in seen:
+            rows.add(i)
+        seen.add(x)
+    return rows
+
+
+def _fails(values: list, ok, optional: bool = False) -> np.ndarray:
+    """The mask of the rows whose value, read as float64, fails ``ok``;
+    with ``optional``, rows whose value is ``None`` pass."""
+    a = np.array(values, dtype=np.float64)  # None reads as NaN, which fails every test
+    bad = ~ok(a)
+    if optional:
+        rows = np.flatnonzero(bad)
+        bad[rows] = [values[i] is not None for i in rows.tolist()]
+    return bad
+
+
+def validate_dataset(d: Dataset | _Columns) -> list[str]:
     """Check every type invariant and return the list of violations.
 
     Violations are data, not exceptions: each entry names the offending
     record and the broken rule. An empty list means the dataset is valid.
     Note the 25-px minimum height is a selection-time rule, so short
     ground-truth objects are not flagged here.
+
+    ``d`` is a dataset or its columns. Each rule is first tested over a
+    whole column; the messages are then made, record by record, for the
+    rows some test flagged.
     """
+    c = d if isinstance(d, _Columns) else _Columns.stack(d)
     violations: list[str] = []
 
-    if not (0 < d.camera.f_x < math.inf and 0 < d.camera.f_y < math.inf):
-        violations.append(f"camera: focal lengths must be finite and > 0, got ({d.camera.f_x}, {d.camera.f_y})")
+    if not (0 < c.camera.f_x < math.inf and 0 < c.camera.f_y < math.inf):
+        violations.append(f"camera: focal lengths must be finite and > 0, got ({c.camera.f_x}, {c.camera.f_y})")
 
     seen_views: set[str] = set()
-    for v in d.views:
+    for v in c.views:
         if v.name in seen_views:
             violations.append(f"view {v.name!r}: duplicate view name")
         seen_views.add(v.name)
@@ -219,45 +334,65 @@ def validate_dataset(d: Dataset) -> list[str]:
         if not 0 <= v.lam < math.inf:
             violations.append(f"view {v.name!r}: lambda must be finite and >= 0, got {v.lam}")
 
-    seen_ids: set[int] = set()
-    for r in d.instances:
-        tag = f"instance {r.instance_id}"
-        if r.instance_id in seen_ids:
+    n = len(c.instance_id)
+    repeated = _repeats(c.instance_id)
+    box = np.array([c.cx, c.cy, c.w, c.h], dtype=np.float64)
+    flagged = ~np.isfinite(box).all(axis=0) | (box[2] < 0) | (box[3] < 0)
+    flagged |= _fails(c.pred_depth, lambda a: (0 < a) & (a < math.inf), optional=True)
+    flagged |= _fails(c.confidence, lambda a: (0 <= a) & (a <= 1), optional=True)
+    aux = np.fromiter(chain.from_iterable(filter(None, c.aux_depths)), dtype=np.float64)
+    if not np.isfinite(aux).all():
+        flagged |= [a is not None and not all(map(math.isfinite, a)) for a in c.aux_depths]
+    flagged[list(repeated)] = True
+    if not c.images.keys() >= set(c.image_id):
+        flagged |= [image_id not in c.images for image_id in c.image_id]
+    misshapen = []
+    for v in c.views:
+        shapes = c.feature_shapes.get(v.name)
+        if shapes is not None and shapes.count((v.dim,)) != n:
+            misshapen.append((v, shapes))
+            flagged |= [s != (v.dim,) for s in shapes]
+
+    for i in np.flatnonzero(flagged).tolist():
+        tag = f"instance {c.instance_id[i]}"
+        if i in repeated:
             violations.append(f"{tag}: duplicate instance_id")
-        seen_ids.add(r.instance_id)
-        if r.image_id not in d.images:
-            violations.append(f"{tag}: image_id {r.image_id!r} not in dataset images")
-        if not _finite(r.box2d.cx, r.box2d.cy, r.box2d.w, r.box2d.h):
+        if c.image_id[i] not in c.images:
+            violations.append(f"{tag}: image_id {c.image_id[i]!r} not in dataset images")
+        if not _finite(c.cx[i], c.cy[i], c.w[i], c.h[i]):
             violations.append(f"{tag}: box2d coordinates must be finite")
-        elif r.box2d.w < 0 or r.box2d.h < 0:
+        elif c.w[i] < 0 or c.h[i] < 0:
             violations.append(f"{tag}: box2d width/height must be >= 0")
         # Chained comparisons against inf also refuse NaN, without a call.
-        if r.pred_depth is not None and not 0 < r.pred_depth < math.inf:
-            violations.append(f"{tag}: pred_depth must be finite and > 0, got {r.pred_depth}")
-        if r.aux_depths is not None and not all(map(math.isfinite, r.aux_depths)):
-            violations.append(f"{tag}: aux_depths must be finite, got {r.aux_depths}")
-        if r.confidence is not None and not 0.0 <= r.confidence <= 1.0:
-            violations.append(f"{tag}: confidence must be in [0, 1], got {r.confidence}")
-        for v in d.views:
-            vec = r.features.get(v.name)
-            if vec is None:
+        pred_depth, aux_depths, confidence = c.pred_depth[i], c.aux_depths[i], c.confidence[i]
+        if pred_depth is not None and not 0 < pred_depth < math.inf:
+            violations.append(f"{tag}: pred_depth must be finite and > 0, got {pred_depth}")
+        if aux_depths is not None and not all(map(math.isfinite, aux_depths)):
+            violations.append(f"{tag}: aux_depths must be finite, got {aux_depths}")
+        if confidence is not None and not 0.0 <= confidence <= 1.0:
+            violations.append(f"{tag}: confidence must be in [0, 1], got {confidence}")
+        for v, shapes in misshapen:
+            if shapes[i] is None:
                 violations.append(f"{tag}: missing feature view {v.name!r}")
-            elif vec.shape != (v.dim,):
-                violations.append(
-                    f"{tag}: view {v.name!r} has dimension {vec.shape}, declared {v.dim}"
-                )
+            elif shapes[i] != (v.dim,):
+                violations.append(f"{tag}: view {v.name!r} has dimension {shapes[i]}, declared {v.dim}")
 
-    seen_gt: set[int] = set()
-    for g in d.ground_truth:
-        tag = f"gt {g.gt_id}"
-        if g.gt_id in seen_gt:
+    m = len(c.gt_id)
+    repeated = _repeats(c.gt_id)
+    flagged = ~np.isfinite(np.array(c.center2d, dtype=np.float64).reshape(m, 2)).all(axis=1)
+    flagged |= _fails(c.depth, lambda a: (0 < a) & (a < math.inf))
+    flagged |= _fails(c.pixel_height, lambda a: (0 <= a) & (a < math.inf))
+    flagged[list(repeated)] = True
+    for i in np.flatnonzero(flagged).tolist():
+        tag = f"gt {c.gt_id[i]}"
+        if i in repeated:
             violations.append(f"{tag}: duplicate gt_id")
-        seen_gt.add(g.gt_id)
-        if not (math.isfinite(g.center2d[0]) and math.isfinite(g.center2d[1])):
-            violations.append(f"{tag}: center2d must be finite, got {g.center2d}")
-        if not 0 < g.depth < math.inf:
-            violations.append(f"{tag}: depth must be finite and > 0, got {g.depth}")
-        if not 0 <= g.pixel_height < math.inf:
-            violations.append(f"{tag}: pixel_height must be finite and >= 0, got {g.pixel_height}")
+        center2d, depth, pixel_height = c.center2d[i], c.depth[i], c.pixel_height[i]
+        if not (math.isfinite(center2d[0]) and math.isfinite(center2d[1])):
+            violations.append(f"{tag}: center2d must be finite, got {center2d}")
+        if not 0 < depth < math.inf:
+            violations.append(f"{tag}: depth must be finite and > 0, got {depth}")
+        if not 0 <= pixel_height < math.inf:
+            violations.append(f"{tag}: pixel_height must be finite and >= 0, got {pixel_height}")
 
     return violations

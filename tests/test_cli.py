@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import logging
 from dataclasses import replace
@@ -9,6 +10,7 @@ import pytest
 from alsim.cli import main, read_curve_csv
 from alsim.dataio import load_dataset, write_dataset
 from alsim.features import FusedCosineMetric
+from alsim.records import Box2D, GroundTruthObject, InstanceRecord
 from alsim.selection import StrategyConfig
 from alsim.simulation import CampaignConfig, SyntheticSpec, covering_radius, generate_synthetic, run_campaign
 
@@ -232,6 +234,84 @@ class TestIngest:
         assert "Is a directory" in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == ["manifest.jsonl"]
 
+    def test_id_outside_int64_exit_1(self, tmp_path, capsys):
+        lines = raw_lines()
+        lines[2]["instance_id"] = 2**70
+        raw = tmp_path / "raw.jsonl"
+        write_raw(raw, lines)
+        assert main(["ingest", "--input", str(raw), "--output", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {raw}:3: malformed instance line (") and "int64" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_features_overflowing_float32_exit_1(self, tmp_path, capsys):
+        # Finite as float64, infinite in the float32 blob: refused before
+        # anything is written, with no numpy overflow warning.
+        lines = raw_lines()
+        lines[2]["features"]["v"] = [1e39, 1.0]
+        raw = tmp_path / "raw.jsonl"
+        write_raw(raw, lines)
+        assert main(["ingest", "--input", str(raw), "--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: view 'v': feature values overflow float32\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_builds_no_records(self, tmp_path, capsys, monkeypatch):
+        built = []
+        for cls in (InstanceRecord, Box2D, GroundTruthObject):
+            init = cls.__init__
+            monkeypatch.setattr(cls, "__init__", lambda self, *a, _init=init, **k: built.append(self) or _init(self, *a, **k))
+        raw = tmp_path / "raw.jsonl"
+        write_raw(raw, raw_lines())
+        assert main(["ingest", "--input", str(raw), "--output", str(tmp_path / "out")]) == 0
+        assert built == []
+        assert len(load_dataset(tmp_path / "out" / "manifest.jsonl").instances) == 3
+        assert len(built) == 7  # the loader builds them: 3 records, their boxes and 1 gt
+
+    def test_output_bytes_are_pinned(self, tmp_path, capsys):
+        # A small generated export plus lines that exercise every way a
+        # value is written back: integral numbers in float fields, whole
+        # floats in id fields, absent optional fields, an empty and a
+        # missing aux list, a non-ASCII image id, and ground-truth lines
+        # before the instances. The digest was taken before the ingest path
+        # read columns; it covers the manifest and every blob.
+        data = generate_synthetic(SyntheticSpec(clusters=3, per_cluster=4), seed=11)
+        header = {
+            "kind": "header",
+            "views": [{"name": v.name, "dim": v.dim, "lambda": v.lam} for v in data.views],
+            "camera": {"fx": data.camera.f_x, "fy": 700},
+        }
+        lines = [header, {"kind": "gt", "gt_id": 90.0, "image_id": "bêld", "class_id": 2,
+                          "center2d": [3, 4.5], "depth": 7, "pixel_height": 30.25}]
+        for i, r in enumerate(data.instances):
+            lines.append({
+                "kind": "instance", "image_id": r.image_id, "instance_id": r.instance_id,
+                "class_id": r.class_id,
+                "box2d": {"cx": r.box2d.cx, "cy": r.box2d.cy, "w": r.box2d.w, "h": r.box2d.h},
+                "pred_depth": r.pred_depth, "confidence": r.confidence, "aux_depths": list(r.aux_depths),
+                "features": {v.name: data.matrix(v.name)[i].tolist() for v in data.views},
+            })
+        lines += [{"kind": "gt", "gt_id": g.gt_id, "image_id": g.image_id, "class_id": g.class_id,
+                   "center2d": list(g.center2d), "depth": g.depth, "pixel_height": g.pixel_height}
+                  for g in data.ground_truth]
+        features = {v.name: [0.5] * v.dim for v in data.views}
+        lines += [
+            {"kind": "instance", "image_id": "bêld", "instance_id": 100.0, "class_id": 3.0,
+             "box2d": {"cx": 10, "cy": 20, "w": 0, "h": -0.0}, "pred_depth": 12, "confidence": 1,
+             "aux_depths": [], "features": features},
+            {"kind": "instance", "image_id": "img0000", "instance_id": 101, "class_id": 0,
+             "box2d": {"cx": 1e-7, "cy": 2.5e10, "w": 3.0, "h": 4.0}, "pred_depth": None, "features": features},
+        ]
+        raw = tmp_path / "raw.jsonl"
+        write_raw(raw, lines)
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(raw), "--output", str(out)]) == 0
+        digest = hashlib.sha256()
+        for path in sorted(out.iterdir()):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == "c2a7db22865eb4086962543314cd82ac866dfa847cf56a04122228368499f737"
+
 
 @pytest.fixture
 def sim_setup(tmp_path):
@@ -250,6 +330,20 @@ def sim_setup(tmp_path):
 
 
 class TestSimulate:
+    def test_id_outside_int64_exit_1(self, sim_setup, capsys):
+        # The campaign's id column is int64: the load refuses such an id.
+        _, config_path, tmp_path = sim_setup
+        manifest = tmp_path / "data" / "manifest.jsonl"
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        instance = json.loads(lines[1])
+        assert instance["kind"] == "instance"
+        lines[1] = json.dumps(dict(instance, instance_id=2**70))
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "runs")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}:2: malformed instance line (") and "int64" in err
+        assert err.count("\n") == 1
+
     def test_writes_per_seed_and_mean_curves(self, sim_setup, capsys):
         _, config_path, tmp_path = sim_setup
         out = tmp_path / "runs"

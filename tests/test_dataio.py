@@ -14,7 +14,6 @@ from hypothesis.extra import numpy as hnp
 from alsim import dataio
 from alsim.dataio import (
     DatasetError,
-    _instance_line,
     load_dataset,
     read_blob,
     read_raw_export,
@@ -83,6 +82,16 @@ class TestBlob:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(DatasetError, match="not an ALF1 blob"):
             read_blob(path)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [1e39, -3.5e38, float("inf"), float("nan")])
+    def test_values_not_finite_as_float32_refused(self, tmp_path, value):
+        path = tmp_path / "x.alf"
+        with pytest.raises(DatasetError, match="finite as float32"):
+            write_blob(path, [[1.0, value]])
+        assert not path.exists()
+        write_blob(path, [[1.0, float(np.finfo(np.float32).max)]])
+        assert read_blob(path)[0, 1] == np.finfo(np.float32).max
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "x.alf"
@@ -153,17 +162,20 @@ class TestManifestRoundTrip:
         manifest = tmp_path / "manifest.jsonl"
         write_dataset(fixture_dataset(rng), manifest)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        lines = []
+        instance_lines = dataio._instance_lines
+        written = []
 
-        def failing(r):
-            lines.append(r.instance_id)
-            if len(lines) == 2:
-                raise OSError(28, "No space left on device")
-            return _instance_line(r)
+        def failing(columns):
+            for line in instance_lines(columns):
+                written.append(line["instance_id"])
+                if len(written) == 2:
+                    raise OSError(28, "No space left on device")
+                yield line
 
-        monkeypatch.setattr(dataio, "_instance_line", failing)
+        monkeypatch.setattr(dataio, "_instance_lines", failing)
         with pytest.raises(OSError, match="No space left"):
             write_dataset(fixture_dataset(rng), manifest)
+        assert written == [0, 1]
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_synthetic_dataset_roundtrip(self, tmp_path):
@@ -219,7 +231,10 @@ class TestLoadedRecords:
         raw = tmp_path / "raw.jsonl"
         lines = [{"kind": "header", "views": [{"name": v.name, "dim": v.dim, "lambda": v.lam} for v in VIEWS],
                   "camera": {"fx": data.camera.f_x, "fy": data.camera.f_y}}]
-        lines += [dict(_instance_line(r), features={k: list(x) for k, x in r.features.items()})
+        lines += [{"kind": "instance", "image_id": r.image_id, "instance_id": r.instance_id, "class_id": r.class_id,
+                   "box2d": {"cx": r.box2d.cx, "cy": r.box2d.cy, "w": r.box2d.w, "h": r.box2d.h},
+                   "pred_depth": r.pred_depth, "confidence": r.confidence, "aux_depths": r.aux_depths,
+                   "features": {k: list(x) for k, x in r.features.items()}}
                   for r in data.instances]
         raw.write_text("\n".join(json.dumps(obj) for obj in lines) + "\n", encoding="utf-8")
         write_dataset(data, tmp_path / "manifest.jsonl")
@@ -353,7 +368,8 @@ class TestLoadErrors:
             load_dataset(manifest)
 
     def test_non_finite_feature_blob(self, tmp_path):
-        write_blob(tmp_path / "v.alf", [[1.0, float("inf")]])
+        # Written by hand: write_blob refuses non-finite values.
+        (tmp_path / "v.alf").write_bytes(b"ALF1" + struct.pack("<II2f", 1, 2, 1.0, float("inf")))
         manifest = self._write_manifest(tmp_path, [self._header({"v": "v.alf"}), self._instance(0)])
         with pytest.raises(DatasetError, match="view 'v': non-finite feature values"):
             load_dataset(manifest)
@@ -450,6 +466,46 @@ class TestLoadErrors:
         mangle(lines)
         with pytest.raises(DatasetError, match=message):
             load_dataset(self._write_manifest(tmp_path, lines))
+
+    @pytest.mark.parametrize("first", ["type", "missing_key"])
+    def test_the_earlier_of_two_faulty_lines_is_named(self, tmp_path, first):
+        # A type fault is found by its column's check, after every line is
+        # read, and a missing key while the line is read: either way the
+        # earlier line is the one refused.
+        write_blob(tmp_path / "v.alf", [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        lines = [self._header({"v": "v.alf"}), self._instance(0), self._instance(1), self._instance(2)]
+        type_line, key_line = (lines[1], lines[3]) if first == "type" else (lines[3], lines[1])
+        type_line["confidence"] = "0.5"
+        del key_line["box2d"]
+        with pytest.raises(DatasetError) as info:
+            load_dataset(self._write_manifest(tmp_path, lines))
+        if first == "type":
+            assert "manifest.jsonl:2: malformed instance line (ValueError(\"expected a number, got '0.5'\"))" in str(info.value)
+        else:
+            assert str(info.value).endswith("manifest.jsonl:2: malformed instance line (KeyError('box2d'))")
+
+    def test_a_fault_on_the_same_line_is_named_in_reading_order(self, tmp_path):
+        # A line with a fault in an early field and a missing later key is
+        # refused for the field a line-by-line reader meets first.
+        write_blob(tmp_path / "v.alf", [[1.0, 2.0]])
+        instance = self._instance(0)
+        instance["class_id"] = 0.5
+        del instance["box2d"]["h"]
+        with pytest.raises(DatasetError, match=r"manifest.jsonl:2: malformed instance line \(ValueError"):
+            load_dataset(self._write_manifest(tmp_path, [self._header({"v": "v.alf"}), instance]))
+
+    @pytest.mark.parametrize("line, key", [(1, "instance_id"), (1, "class_id"), (2, "gt_id"), (2, "class_id")])
+    def test_ids_outside_int64_refused(self, tmp_path, line, key):
+        write_blob(tmp_path / "v.alf", [[1.0, 2.0]])
+        gt = {"kind": "gt", "gt_id": 3, "image_id": "img0", "class_id": 0, "center2d": [10.0, 10.0],
+              "depth": 10.0, "pixel_height": 40.0}
+        lines = [self._header({"v": "v.alf"}), self._instance(0), gt]
+        lines[line][key] = 2**63
+        kind = "instance" if line == 1 else "gt"
+        with pytest.raises(DatasetError, match=f"manifest.jsonl:{line + 1}: malformed {kind} line .*within int64"):
+            load_dataset(self._write_manifest(tmp_path, lines))
+        lines[line][key] = -(2**63)
+        assert load_dataset(self._write_manifest(tmp_path, lines)).instances
 
     def test_integral_numbers_load_as_floats(self, tmp_path):
         write_blob(tmp_path / "v.alf", [[1.0, 2.0]])
