@@ -346,7 +346,7 @@ def _read_manifest(path: Path):
 _FLOAT32_OVERFLOW = 2.0**128 * (1 - 2.0**-25)
 
 
-def _read_matrices(views, count: int, matrices: dict[str, np.ndarray], view_matrix) -> None:
+def _read_matrices(views: tuple[ViewSpec, ...], count: int, matrices: dict[str, np.ndarray], view_matrix) -> None:
     """Fill ``matrices`` with ``view_matrix(view)``, one (count, dim)
     matrix per declared view, each checked once for shape, finiteness and
     the float32 range that blobs store."""
@@ -399,8 +399,9 @@ def load_dataset(path) -> Dataset:
     dataset = _dataset(columns)
     matrices = columns.matrices
     # The blobs are read once the records are built and the column lists
-    # freed, which lowers the peak resident set of a 50k-instance load by
-    # about 8 MB; a blob fault is still reported before the violations.
+    # freed, so their memory can be reused: on the benchmark's seed-0
+    # 50k-instance export this lowered the peak resident set of a load by
+    # about 8 MB. A blob fault is still reported before the violations.
     del columns
     _read_matrices(dataset.views, len(dataset.instances), matrices, blob_matrix)
     if violations:

@@ -259,9 +259,12 @@ class TestIngest:
 
     def test_builds_no_records(self, tmp_path, capsys, monkeypatch):
         built = []
+
+        def counting(init):
+            return lambda self, *args, **kwargs: built.append(self) or init(self, *args, **kwargs)
+
         for cls in (InstanceRecord, Box2D, GroundTruthObject):
-            init = cls.__init__
-            monkeypatch.setattr(cls, "__init__", lambda self, *a, _init=init, **k: built.append(self) or _init(self, *a, **k))
+            monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
         raw = tmp_path / "raw.jsonl"
         write_raw(raw, raw_lines())
         assert main(["ingest", "--input", str(raw), "--output", str(tmp_path / "out")]) == 0
