@@ -57,7 +57,9 @@ from .records import (
     _Columns,
     _GT_FIELDS,
     _INSTANCE_FIELDS,
+    _INT64,
     _MatrixRow,
+    _outside_int64,
     _real,
     _whole,
     validate_dataset,
@@ -115,9 +117,6 @@ def _parse_views(header: dict) -> tuple[ViewSpec, ...]:
     return tuple(views)
 
 
-_INT64 = range(-(2**63), 2**63)
-
-
 def _int64(value) -> int:
     """``_whole(value)``, refused outside int64, which the id columns hold."""
     whole = _whole(value)
@@ -135,7 +134,7 @@ def _reals(values) -> tuple[float, ...] | None:
 
 
 def _all_int64(values: list) -> bool:
-    return set(map(type, values)) <= {int} and (not values or min(values) in _INT64 and max(values) in _INT64)
+    return set(map(type, values)) <= {int} and _outside_int64(values) is None
 
 
 def _all_float(values) -> bool:

@@ -84,13 +84,14 @@ def match_request(
     Returns a null MatchResult when nothing qualifies, which the budget
     still charges as a false-positive request.
     """
-    return _match(req_center, gts, labeling_radius(cam, pred_depth, h_scale), min_px_height)
+    rad = labeling_radius(cam, pred_depth, h_scale)
+    return _match(req_center, gts, rad.r_x, rad.r_y, min_px_height)
 
 
 def _match(
-    req_center: tuple[float, float], gts: Sequence[GroundTruthObject], rad: Radius2D, min_px_height: float
+    req_center: tuple[float, float], gts: Sequence[GroundTruthObject], r_x: float, r_y: float, min_px_height: float
 ) -> MatchResult:
-    """``match_request`` inside the window ``rad``."""
+    """``match_request`` inside the window of radii ``r_x`` and ``r_y``."""
     best_gt: GroundTruthObject | None = None
     best_d = math.inf
     for gt in gts:
@@ -98,7 +99,7 @@ def _match(
             continue
         dx = gt.center2d[0] - req_center[0]
         dy = gt.center2d[1] - req_center[1]
-        if abs(dx) > rad.r_x or abs(dy) > rad.r_y:
+        if abs(dx) > r_x or abs(dy) > r_y:
             continue
         d = math.hypot(dx, dy)
         if d < best_d or (d == best_d and best_gt is not None and gt.gt_id < best_gt.gt_id):
@@ -124,15 +125,20 @@ def suppress_duplicate(
     within 95% of the labeling radius on both axes, boundary inclusive.
     The radius is computed from the new request's predicted depth.
     """
-    return _suppresses(req_center, pred_class, prior, labeling_radius(cam, pred_depth, h_scale))
+    rad = labeling_radius(cam, pred_depth, h_scale)
+    return _suppresses(req_center, pred_class, prior, rad.r_x, rad.r_y)
 
 
 def _suppresses(
-    req_center: tuple[float, float], pred_class: int, prior: Iterable[tuple[tuple[float, float], int]], rad: Radius2D
+    req_center: tuple[float, float],
+    pred_class: int,
+    prior: Iterable[tuple[tuple[float, float], int]],
+    r_x: float,
+    r_y: float,
 ) -> bool:
-    """``suppress_duplicate`` under the labeling radius ``rad``."""
-    rx = 0.95 * rad.r_x
-    ry = 0.95 * rad.r_y
+    """``suppress_duplicate`` under the labeling radii ``r_x`` and ``r_y``."""
+    rx = 0.95 * r_x
+    ry = 0.95 * r_y
     for (px, py), pclass in prior:
         if pclass != pred_class:
             continue

@@ -119,16 +119,17 @@ class Dataset:
 
     ``images`` maps image id to its ground-truth object count, in
     manifest order. ``matrix(name)`` is one view's features as a single
-    matrix in instance order, and ``instance_ids`` the instance ids as one
-    column. The loader hands over the matrices that its records'
+    matrix in instance order, ``column(name)`` one instance field as a
+    tuple in instance order, and ``instance_ids`` the instance ids as one
+    int64 column. The loader hands over the matrices that its records'
     ``features`` read their rows from; any other dataset, such as a
     ``dataclasses.replace`` with other instances, stacks a view's rows on
-    first use and keeps the result, and every dataset builds its id column
-    on first use. Those memos are the only thing that changes after
-    construction, and each only ever gains a value equal to the records'
-    fields, so the container is safe to share read-only across workers.
-    Treat the matrices as read-only: the loader's are the records' own
-    feature rows.
+    first use and keeps the result, and every dataset builds its field
+    columns on first use, which is a campaign's, not the load's. Those
+    memos are the only thing that changes after construction, and each
+    only ever gains a value equal to the records' fields, so the container
+    is safe to share read-only across workers. Treat the matrices as
+    read-only: the loader's are the records' own feature rows.
     """
 
     camera: CameraModel
@@ -136,8 +137,9 @@ class Dataset:
     instances: tuple[InstanceRecord, ...]
     ground_truth: tuple[GroundTruthObject, ...]
     images: dict[str, int]
-    # Not an init field, so ``dataclasses.replace`` starts an empty memo.
+    # Not init fields, so ``dataclasses.replace`` starts empty memos.
     _matrices: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    _columns: dict[str, tuple] = field(default_factory=dict, init=False, repr=False)
 
     def matrix(self, name: str) -> np.ndarray:
         """The ``(len(instances), dim)`` float64 features of view ``name``,
@@ -150,10 +152,27 @@ class Dataset:
             self._matrices[name] = m
         return m
 
+    def column(self, name: str) -> tuple:
+        """Field ``name`` of every instance, as the records hold it, in
+        instance order; ``name`` is a key of ``_INSTANCE_FIELDS``, so
+        ``"cx"`` reads ``box2d.cx``."""
+        c = self._columns.get(name)
+        if c is None:
+            c = self._columns[name] = tuple(map(attrgetter(_INSTANCE_FIELDS[name]), self.instances))
+        return c
+
     @cached_property
     def instance_ids(self) -> np.ndarray:
-        """The read-only int64 instance ids, one per instance in instance order."""
-        ids = np.fromiter((r.instance_id for r in self.instances), dtype=np.int64, count=len(self.instances))
+        """The read-only int64 instance ids, one per instance in instance order.
+
+        Raises:
+            ValueError: naming the first id outside int64.
+        """
+        column = self.column("instance_id")
+        outside = _outside_int64(column)
+        if outside:
+            raise ValueError(f"instance_id {column[outside.index(True)]} is outside int64")
+        ids = np.array(column, dtype=np.int64)
         ids.flags.writeable = False
         return ids
 
@@ -282,6 +301,23 @@ def _real(value) -> float:
     raise ValueError(f"expected a number, got {value!r}")
 
 
+# The values an id column holds.
+_INT64 = range(-(2**63), 2**63)
+
+
+def _outside_int64(ids) -> list[bool] | None:
+    """Per id, whether it lies outside ``_INT64``; ``None`` when every id
+    fits, which the least and greatest id settle without a pass per id.
+    Compared, not tested with ``in``, which scans a range for a non-int."""
+    lo, hi = _INT64.start, _INT64.stop
+    try:
+        if not ids or lo <= min(ids) and max(ids) < hi:
+            return None
+    except TypeError:  # ids that do not compare; no id test here
+        return None
+    return [not lo <= i < hi for i in ids]
+
+
 def _repeats(ids: list) -> set[int]:
     """The rows whose id an earlier row already has."""
     if len(set(ids)) == len(ids):
@@ -344,6 +380,9 @@ def validate_dataset(d: Dataset | _Columns) -> list[str]:
     if not np.isfinite(aux).all():
         flagged |= [a is not None and not all(map(math.isfinite, a)) for a in c.aux_depths]
     flagged[list(repeated)] = True
+    wide = _outside_int64(c.instance_id)
+    if wide:
+        flagged |= wide
     if not c.images.keys() >= set(c.image_id):
         flagged |= [image_id not in c.images for image_id in c.image_id]
     misshapen = []
@@ -357,6 +396,8 @@ def validate_dataset(d: Dataset | _Columns) -> list[str]:
         tag = f"instance {c.instance_id[i]}"
         if i in repeated:
             violations.append(f"{tag}: duplicate instance_id")
+        if wide and wide[i]:
+            violations.append(f"{tag}: instance_id must be within int64")
         if c.image_id[i] not in c.images:
             violations.append(f"{tag}: image_id {c.image_id[i]!r} not in dataset images")
         if not _finite(c.cx[i], c.cy[i], c.w[i], c.h[i]):
@@ -383,10 +424,15 @@ def validate_dataset(d: Dataset | _Columns) -> list[str]:
     flagged |= _fails(c.depth, lambda a: (0 < a) & (a < math.inf))
     flagged |= _fails(c.pixel_height, lambda a: (0 <= a) & (a < math.inf))
     flagged[list(repeated)] = True
+    wide = _outside_int64(c.gt_id)
+    if wide:
+        flagged |= wide
     for i in np.flatnonzero(flagged).tolist():
         tag = f"gt {c.gt_id[i]}"
         if i in repeated:
             violations.append(f"{tag}: duplicate gt_id")
+        if wide and wide[i]:
+            violations.append(f"{tag}: gt_id must be within int64")
         center2d, depth, pixel_height = c.center2d[i], c.depth[i], c.pixel_height[i]
         if not (math.isfinite(center2d[0]) and math.isfinite(center2d[1])):
             violations.append(f"{tag}: center2d must be finite, got {center2d}")

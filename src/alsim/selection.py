@@ -25,10 +25,14 @@ loop starts from the unfolded rows of a ``features.Coverage`` (the pool's
 rows and their min distances to the folded, labeled rows), so a k-pick
 batch costs O(k * |pool|) distance evaluations and embeds nothing.
 
-The other kinds score every record once and sort once (``_order``). All
-but ``random`` score a record by its own fields alone, and (-score, id)
-is a strict total order, so a campaign orders its whole dataset once and
-each round walks that order restricted to the round's pool.
+The other kinds score every record once (``_order``) and walk the
+scores best-first (``_best_first``): each cut partially selects the next
+best rows and sorts only those, so a round that reads m of a pool's
+entries sorts about m of them, not the whole pool. All but ``random``
+score a record by its own fields alone, and (-score, id) is a strict
+total order, so a campaign walks its whole dataset once and each round
+reads that order restricted to the round's pool; ``random`` draws the
+pool's scores anew each round and walks only as deep as the round reads.
 """
 
 from __future__ import annotations
@@ -107,26 +111,33 @@ def _instance_ids(records: Sequence[InstanceRecord]) -> np.ndarray:
     return np.array([r.instance_id for r in records], dtype=np.int64)
 
 
-def _farthest_first(
-    coverage: Coverage, pool: Sequence[InstanceRecord], ids: np.ndarray
-) -> Iterator[tuple[InstanceRecord, float]]:
+def _farthest_first(coverage: Coverage, ids: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The greedy pick loop on a copy of ``coverage``'s unfolded rows, which
-    are ``pool``'s rows in order (``ids`` their instance ids): a pick's
-    entry is set to -inf, so it never wins again, and its row is folded
-    into the copied ``mins``."""
+    are a pool's rows in order (``ids`` their instance ids), as one-pick
+    chunks of (position in the pool, score): a pick's entry is set to -inf,
+    so it never wins again, and its row is folded into the copied ``mins``
+    only when the next pick is asked for."""
     if not coverage.folded.any():
         raise ValueError("labeled set must be nonempty")
     rows = np.flatnonzero(~coverage.folded)
-    if len(rows) != len(pool):
-        raise ValueError(f"pool has {len(pool)} records, coverage has {len(rows)} unfolded rows")
+    if len(rows) != len(ids):
+        raise ValueError(f"pool has {len(ids)} records, coverage has {len(rows)} unfolded rows")
     E, mins = coverage.E[rows], coverage.mins[rows]
 
-    for _ in range(len(pool)):
+    for _ in range(len(ids)):
         tie = np.flatnonzero(mins == mins.max())
         pick = int(tie[np.argmin(ids[tie])])
-        yield pool[pick], float(mins[pick])
+        yield np.array([pick]), mins[pick : pick + 1].copy()
         mins[pick] = -np.inf
         fold_min_distances(coverage.metric, E, E[pick : pick + 1], mins)
+
+
+def _with_records(
+    pool: Sequence[InstanceRecord], chunks: Iterator[tuple[np.ndarray, np.ndarray]]
+) -> Iterator[tuple[InstanceRecord, float]]:
+    """The (record, score) pairs of ranked chunks of positions in ``pool``."""
+    for positions, scores in chunks:
+        yield from zip(map(pool.__getitem__, positions.tolist()), scores.tolist())
 
 
 def iter_coreset_picks(
@@ -144,7 +155,7 @@ def iter_coreset_picks(
     """
     coverage = Coverage(dist, dist.embed([*pool, *labeled]))
     coverage.fold(range(len(pool), len(pool) + len(labeled)))
-    return _farthest_first(coverage, pool, _instance_ids(pool))
+    return _with_records(pool, _farthest_first(coverage, _instance_ids(pool)))
 
 
 def coreset_select(
@@ -166,7 +177,8 @@ def coreset_select(
 def ensemble_depth_variance(r: InstanceRecord) -> float:
     """Population variance of the main and associated auxiliary depths.
 
-    Instances with fewer than two depth readings score 0.
+    Instances with fewer than two depth readings score 0. The scalar
+    reference of ``_depth_variances``, which ranking uses.
     """
     depths: list[float] = []
     if r.pred_depth is not None:
@@ -176,6 +188,20 @@ def ensemble_depth_variance(r: InstanceRecord) -> float:
     if len(depths) < 2:
         return 0.0
     return float(np.var(depths))
+
+
+def _depth_variances(records: Sequence[InstanceRecord]) -> np.ndarray:
+    """``ensemble_depth_variance`` of every record, bit for bit, with one
+    ``np.var`` per count of depth readings: the readings of the records
+    with k of them are the rows of one C-ordered (m, k) matrix, and numpy
+    reduces each row of it in the order it reduces a k-element list."""
+    readings = [((r.pred_depth,) if r.pred_depth is not None else ()) + (r.aux_depths or ()) for r in records]
+    counts = np.fromiter(map(len, readings), dtype=np.intp, count=len(readings))
+    variances = np.zeros(len(readings))
+    for k in np.unique(counts[counts >= 2]).tolist():
+        rows = np.flatnonzero(counts == k)
+        variances[rows] = np.array([readings[i] for i in rows.tolist()], dtype=np.float64).var(axis=1)
+    return variances
 
 
 def image_level_select(
@@ -233,27 +259,59 @@ def validate_strategy_setup(cfg: StrategyConfig, pool: Sequence[InstanceRecord])
             raise ValueError(f"strategy {cfg.kind!r}: pool lacks feature views {absent}")
 
 
+# The first cut of a best-first walk, and the factor each later cut grows by.
+_FIRST_CUT = 1024
+_GROWTH = 4
+
+
+def _best_first(scores: np.ndarray, ids: np.ndarray, ranked: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """The positions ``ranked`` (all positions of ``scores`` when None) in
+    (-score, id) order, ``ids`` being every position's id: successive
+    chunks, each ordered by ``np.lexsort``.
+
+    A cut partially selects (``np.partition``) the next ``k`` best of the
+    remaining positions and takes every position tied with the last of
+    them, so nothing after the cut ranks before anything in it. ``k``
+    starts at ``_FIRST_CUT`` and grows ``_GROWTH``-fold per cut, so a
+    caller that stops after m positions has sorted O(m + _FIRST_CUT) of
+    them and made O(log m) passes over the rest.
+    """
+    key = -scores
+    rest = np.arange(len(key)) if ranked is None else ranked
+    k = _FIRST_CUT
+    while len(rest) > k:
+        part = key[rest]
+        top = part <= np.partition(part, k - 1)[k - 1]
+        chunk = rest[top]
+        yield chunk[np.lexsort((ids[chunk], key[chunk]))]
+        rest = rest[~top]
+        k *= _GROWTH
+    yield rest[np.lexsort((ids[rest], key[rest]))]
+
+
 def _order(
-    records: Sequence[InstanceRecord], ids: np.ndarray, cfg: StrategyConfig, seed: int | None
-) -> tuple[np.ndarray, np.ndarray]:
+    records: Sequence, ids: np.ndarray, cfg: StrategyConfig, seed: int | None
+) -> tuple[Iterator[np.ndarray], np.ndarray]:
     """A non-greedy kind's ranking of ``records`` (``ids`` their instance ids):
-    the best-first positions of the records it ranks, ties to the lowest id
-    and far_depth's filtered records left out, and every record's score."""
+    the best-first walk (``_best_first``) over the positions of the records
+    it ranks, ties to the lowest id and far_depth's filtered records left
+    out, and every record's score. ``random`` reads only how many records
+    there are."""
     if cfg.kind == "random":
         scores = np.random.default_rng(cfg.seed if seed is None else seed).random(len(records))
     elif cfg.kind == "ens_depth_var":
-        scores = np.array([ensemble_depth_variance(r) for r in records], dtype=np.float64)
+        scores = _depth_variances(records)
     else:
         column = "confidence" if cfg.kind == "confidence" else "pred_depth"
         scores = np.array([getattr(r, column) for r in records], dtype=np.float64)
         if cfg.kind != "far_depth":
             scores = -scores
-    ranked = np.arange(len(records))
+    ranked = None
     if cfg.kind == "far_depth":
         f = cfg.far_depth_filters
         heights = np.array([r.box2d.h for r in records], dtype=np.float64)
         ranked = np.flatnonzero((heights >= f.min_px_height) & (scores < f.max_depth))
-    return ranked[np.lexsort((ids[ranked], -scores[ranked]))], scores
+    return _best_first(scores, ids, ranked), scores
 
 
 def rank_pool(
@@ -267,25 +325,28 @@ def rank_pool(
     Greedy-diversity kinds rank lazily from ``coverage`` (left unchanged),
     whose folded rows are the labeled set and whose unfolded rows are
     ``pool``'s, in order, so callers can stop as soon as a round budget is
-    filled; the remaining kinds score every record once and sort the ones
-    they rank by descending score, ties to the lowest instance_id.
-    ``seed`` overrides the config seed for per-round randomness.
+    filled; the remaining kinds score every record once and walk the ones
+    they rank by descending score, ties to the lowest instance_id, sorting
+    only as deep as the caller reads. ``seed`` overrides the config seed
+    for per-round randomness.
     """
     validate_strategy_setup(cfg, pool)
-    yield from _ranked(pool, _instance_ids(pool), cfg, coverage, seed)
+    yield from _with_records(pool, _ranked(pool, _instance_ids(pool), cfg, coverage, seed))
 
 
 def _ranked(
-    pool: Sequence[InstanceRecord], ids: np.ndarray, cfg: StrategyConfig, coverage: Coverage | None, seed: int | None
-) -> Iterator[tuple[InstanceRecord, float]]:
-    """``rank_pool`` of a pool already checked against the strategy, with
-    ``ids`` its instance ids in order, such as a slice of
-    ``Dataset.instance_ids``."""
+    pool: Sequence, ids: np.ndarray, cfg: StrategyConfig, coverage: Coverage | None, seed: int | None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``rank_pool``'s order of a pool already checked against the strategy,
+    with ``ids`` its instance ids in order: chunks of (positions in the
+    pool, their scores), best-first. The greedy kinds give one pick per
+    chunk and the others ``_best_first``'s cuts; the campaign maps the
+    positions to dataset rows, ``rank_pool`` to records."""
     if cfg.kind in CORESET_KINDS:
         if coverage is None:
             raise ValueError(f"strategy {cfg.kind!r} needs a coverage of the labeled set")
-        yield from _farthest_first(coverage, pool, ids)
+        yield from _farthest_first(coverage, ids)
     else:
-        order, scores = _order(pool, ids, cfg, seed)
-        for i in order.tolist():
-            yield pool[i], float(scores[i])
+        walk, scores = _order(pool, ids, cfg, seed)
+        for chunk in walk:
+            yield chunk, scores[chunk]

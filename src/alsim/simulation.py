@@ -9,14 +9,18 @@ rows are folded into every ``features.Coverage`` the campaign owns: one per
 distinct set of views, shared by a greedy strategy and the campaign's own
 covering-radius curve when their views agree.
 
-A round's oracle loop walks a ranking of the pool it is given. The
-campaign orders its dataset once for the kinds that score an instance by
-its own fields, and ranks each round's pool anew for ``random`` and the
-greedy kinds. The oracle's state is one ``OracleIndex`` per campaign.
-Each request computes its labeling radius once, for the duplicate check,
-the truth window and the match, and is matched against only the open
-objects inside that window, so a round's oracle cost is in its requests,
-not in the dataset's size.
+A round's oracle loop walks a ranking of dataset rows and reads each
+request's instance id, image, class and centre from the dataset's field
+columns (``Dataset.column``) by row. The campaign walks its dataset's
+order once for the kinds that score an instance by its own fields, and
+ranks each round's pool anew for ``random`` and the greedy kinds; every
+ranking is lazy, so a round sorts or picks only as deep as it reads. The
+oracle's state is one ``OracleIndex`` per campaign, which holds every
+row's labeling radius, computed once for the whole dataset. A request is
+matched against only the open objects inside its window, and the rows it
+labels are folded in dataset order, so a round's oracle cost is in its
+requests, not in the dataset's size. The (labeled, pool) record lists
+are built only for a caller's performance hook.
 
 The module also carries the training-side schedules of the simulated
 detector ensemble (time-decayed label bagging and loss-weight
@@ -29,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,10 +41,10 @@ from .features import Coverage, FusedCosineMetric, compress_views
 # ``match_request``, ``suppress_duplicate`` and ``rank_pool`` are the public
 # views of the cores that ``run_round`` calls. They stay bound here because
 # the benchmark's tracer patches them by these names.
-from .geometry import Radius2D, _match, _suppresses, labeling_radius, match_request, suppress_duplicate
+from .geometry import _match, _suppresses, match_request, suppress_duplicate
 from .metrics import Curve, CurvePoint
 from .records import Box2D, CameraModel, Dataset, GroundTruthObject, InstanceRecord, ViewSpec, _whole
-from .selection import CORESET_KINDS, StrategyConfig, _instance_ids, _order, _ranked, rank_pool, validate_strategy_setup
+from .selection import CORESET_KINDS, StrategyConfig, _order, _ranked, rank_pool, validate_strategy_setup
 
 __all__ = [
     "LOSS_SUBTASKS",
@@ -252,10 +256,10 @@ class _ImageTruth:
         self.cy = cy
         self.open = open
 
-    def window(self, center: tuple[float, float], rad: Radius2D) -> list[int]:
-        """Rows of the open objects whose centre lies within ``rad`` of
-        ``center`` on both axes, boundary inclusive, in dataset order."""
-        inside = self.open & (np.abs(self.cx - center[0]) <= rad.r_x) & (np.abs(self.cy - center[1]) <= rad.r_y)
+    def window(self, center: tuple[float, float], r_x: float, r_y: float) -> list[int]:
+        """Rows of the open objects whose centre lies within ``r_x`` and
+        ``r_y`` of ``center``, boundary inclusive, in dataset order."""
+        inside = self.open & (np.abs(self.cx - center[0]) <= r_x) & (np.abs(self.cy - center[1]) <= r_y)
         return inside.nonzero()[0].tolist()
 
 
@@ -275,12 +279,15 @@ class OracleIndex:
     instance stays suppressed: a later request for it is suppressed from
     ``suppressed`` without a scan of its priors. That holds under one
     labeling-window scale only, so the first round records its
-    ``h_scale`` here and ``run_round`` refuses the index under another.
+    ``h_scale`` here, with ``radii``, every dataset row's labeling radius
+    on each axis under it (``_radii``), and ``run_round`` refuses the
+    index under another scale.
     """
 
     def __init__(self, data: Dataset, state: RoundState):
         self.round_index: int | None = state.round_index
         self.h_scale: float | None = None
+        self.radii: tuple[list[float], list[float]] | None = None
         self.suppressed: set[int] = set()
         self.priors: dict[tuple[str, int], list[tuple[tuple[float, float], int]]] = {}
         # No charges, as at every campaign's start: no instance to look up.
@@ -305,10 +312,41 @@ class OracleIndex:
 
 
 def _require_depth(records: Sequence[InstanceRecord], who: str) -> None:
-    missing = [r.instance_id for r in records if r.pred_depth is None]
-    if missing:
-        n = f"{len(missing)} of {len(records)}"
-        raise ValueError(f"{who} needs pred_depth on every instance; missing on {n}, first {missing[:5]}")
+    """Refuse records without a depth, or with one that is not > 0, which
+    ``labeling_radius`` refuses, before any request."""
+    faulty = [r for r in records if r.pred_depth is None or not r.pred_depth > 0]
+    if faulty:
+        missing = [r.instance_id for r in faulty if r.pred_depth is None]
+        if missing:
+            n = f"{len(missing)} of {len(records)}"
+            raise ValueError(f"{who} needs pred_depth on every instance; missing on {n}, first {missing[:5]}")
+        r = faulty[0]
+        raise ValueError(f"{who} needs pred_depth > 0; instance {r.instance_id} has {r.pred_depth}")
+
+
+def _radii(data: Dataset, h_scale: float) -> tuple[list[float], list[float]]:
+    """Every dataset row's labeling radius on each axis, bit for bit what
+    ``labeling_radius`` gives (``(h_scale * f) / pred_depth``), NaN where a
+    row has no depth; rows a round requests have a positive depth."""
+    depth = np.array(data.column("pred_depth"), dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return ((h_scale * data.camera.f_x) / depth).tolist(), ((h_scale * data.camera.f_y) / depth).tolist()
+
+
+def _pool_rows(data: Dataset, pool: Sequence[InstanceRecord]) -> np.ndarray:
+    """The dataset rows of ``pool``'s records, found by instance id."""
+    row_of = {iid: row for row, iid in enumerate(data.column("instance_id"))}
+    try:
+        return np.array([row_of[r.instance_id] for r in pool], dtype=np.intp)
+    except KeyError as exc:
+        raise ValueError(f"pool instance {exc.args[0]} is not in the dataset") from None
+
+
+def _rows_ranked(rows: np.ndarray, chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[int]:
+    """The dataset rows of ``selection._ranked``'s chunks of positions in a
+    pool whose dataset rows are ``rows``."""
+    for positions, _ in chunks:
+        yield from rows[positions].tolist()
 
 
 def run_round(
@@ -321,14 +359,16 @@ def run_round(
 ) -> tuple[RoundState, RoundLog]:
     """Run one selection round up to its cumulative budget target.
 
-    The strategy ranks ``pool`` (records of ``data``) as given, with the
-    round's own seed; greedy kinds rank from ``coverage``, which is left
+    The strategy ranks ``pool`` (records of ``data``, whose rows the round
+    finds by instance id) as given, with the round's own seed, as deep as
+    the round reads; greedy kinds rank from ``coverage``, which is left
     unchanged, or from one built from ``state``'s labels when it is not
     given. Requests are issued in rank order, and each request's labeling
-    radius is computed once. A request within 95% of that radius of an
-    earlier same-class request in the same image is suppressed without
-    charge, and so is, without a scan, a request for an instance the index
-    suppressed before. Every other request is charged, matched or not,
+    radius is read off the index's radius column, computed once for every
+    dataset row. A request within 95% of that radius of an earlier
+    same-class request in the same image is suppressed without charge, and
+    so is, without a scan, a request for an instance the index suppressed
+    before. Every other request is charged, matched or not,
     against the open ground truth inside its labeling window; matched
     ground truth moves to the labeled set. The round stops once the
     cumulative requested total reaches this round's budget target or the
@@ -340,31 +380,35 @@ def run_round(
     off those events.
 
     Raises:
-        ValueError: before any request, if a pool record lacks its depth
-            or a field the strategy ranks by, if the budget target lies
+        ValueError: before any request, if a pool record is not in
+            ``data``, lacks its depth, has one that is not > 0, or lacks a
+            field the strategy ranks by, if the budget target lies
             below the current total, or if ``oracle`` is at another round
             than ``state`` or was used under another ``h_scale``.
     """
     _require_depth(pool, "the round's pool")
     validate_strategy_setup(cfg.strategy, pool)
+    rows = _pool_rows(data, pool)
     if cfg.strategy.kind in CORESET_KINDS and coverage is None:
         coverage = _coverage({}, data, cfg.strategy.views, cfg.pca_var_keep)
         coverage.fold(np.flatnonzero(_labeled_mask(state, data.instances)))
     seed = _round_seed(state.rng_seed, state.round_index, 1)
-    ranking = (r for r, _ in _ranked(pool, _instance_ids(pool), cfg.strategy, coverage, seed))
-    return _run_round(state, data, cfg, ranking, oracle)
+    ranking = _rows_ranked(rows, _ranked(pool, data.instance_ids[rows], cfg.strategy, coverage, seed))
+    return _run_round(state, data, cfg, ranking, oracle)[:2]
 
 
 def _run_round(
     state: RoundState,
     data: Dataset,
     cfg: CampaignConfig,
-    ranking: Iterable[InstanceRecord],
+    ranking: Iterable[int],
     oracle: OracleIndex | None,
-) -> tuple[RoundState, RoundLog]:
-    """``run_round``'s oracle loop over ``ranking``, a checked pool's records
-    best-first. It is pulled only below the target and left right after the
-    charge that reaches it: a greedy ranking folds a pick only when asked."""
+) -> tuple[RoundState, RoundLog, list[int]]:
+    """``run_round``'s oracle loop over ``ranking``, a checked pool's dataset
+    rows best-first, also giving the rows whose request matched, in request
+    order. It is pulled only below the target and left right after the
+    charge that reaches it: a greedy ranking folds a pick only when asked,
+    and a lazy one sorts no deeper than the round reads."""
     if state.round_index >= len(cfg.round_budgets):
         raise ValueError(f"no budget configured for round {state.round_index}")
     target = cfg.round_budgets[state.round_index]
@@ -379,40 +423,47 @@ def _run_round(
     # Marked in progress until the loop ends, so an index left half
     # updated by an error is refused by the next round.
     oracle.round_index = None
+    if oracle.radii is None:
+        oracle.radii = _radii(data, cfg.h_scale)
     oracle.h_scale = cfg.h_scale
 
+    ids, images, classes, xs, ys = map(data.column, ("instance_id", "image_id", "class_id", "cx", "cy"))
+    rxs, rys = oracle.radii
+    suppressed, priors_of, truth_of = oracle.suppressed, oracle.priors, oracle.truth
+    round_index = state.round_index
     events: list[RequestEvent] = []
+    matched_rows: list[int] = []
     charged = 0
-    for record in ranking if state.requested_total < target else ():
-        if record.instance_id in oracle.suppressed:
-            events.append(RequestEvent(state.round_index, record.instance_id, record.image_id, "suppressed"))
+    for row in ranking if state.requested_total < target else ():
+        iid, image = ids[row], images[row]
+        if iid in suppressed:
+            events.append(RequestEvent(round_index, iid, image, "suppressed"))
             continue
         # One window per request: the duplicate check, the truth window
         # and the match all read it.
-        rad = labeling_radius(data.camera, record.pred_depth, cfg.h_scale)
-        priors = oracle.priors.setdefault((record.image_id, record.class_id), [])
-        if _suppresses(record.center, record.class_id, priors, rad):
-            oracle.suppressed.add(record.instance_id)
-            events.append(RequestEvent(state.round_index, record.instance_id, record.image_id, "suppressed"))
+        center, cls, r_x, r_y = (xs[row], ys[row]), classes[row], rxs[row], rys[row]
+        priors = priors_of.setdefault((image, cls), [])
+        if _suppresses(center, cls, priors, r_x, r_y):
+            suppressed.add(iid)
+            events.append(RequestEvent(round_index, iid, image, "suppressed"))
             continue
 
-        truth = oracle.truth.get(record.image_id)
+        truth = truth_of.get(image)
         candidates: list[GroundTruthObject] = []
         if truth is not None:
-            rows = truth.window(record.center, rad)
-            candidates = [truth.objects[i] for i in rows]
-        result = _match(record.center, candidates, rad, cfg.min_px_height)
-        priors.append((record.center, record.class_id))
+            hits = truth.window(center, r_x, r_y)
+            candidates = [truth.objects[i] for i in hits]
+        result = _match(center, candidates, r_x, r_y, cfg.min_px_height)
+        priors.append((center, cls))
         charged += 1
         if result.matched:
-            truth.open[rows[[g.gt_id for g in candidates].index(result.gt_id)]] = False
+            truth.open[hits[[g.gt_id for g in candidates].index(result.gt_id)]] = False
+            matched_rows.append(row)
         outcome = "matched" if result.matched else "null"
-        events.append(
-            RequestEvent(state.round_index, record.instance_id, record.image_id, outcome, result.gt_id, True)
-        )
+        events.append(RequestEvent(round_index, iid, image, outcome, result.gt_id, True))
         if state.requested_total + charged >= target:
             break
-    oracle.round_index = state.round_index + 1
+    oracle.round_index = round_index + 1
 
     matched = [ev for ev in events if ev.outcome == "matched"]
     labeled_gt = state.labeled_gt | {ev.gt_id for ev in matched}
@@ -442,7 +493,7 @@ def _run_round(
         matched_ids=state.matched_ids | {ev.instance_id for ev in matched},
         charged_ids=state.charged_ids | {ev.instance_id for ev in events if ev.charged},
     )
-    return new_state, log
+    return new_state, log, matched_rows
 
 
 PerformanceHook = Callable[[Sequence[InstanceRecord], Sequence[InstanceRecord]], float]
@@ -462,7 +513,8 @@ def run_campaign(
     pool under ``FusedCosineMetric(data.views)``, the k-center objective
     of the greedy strategy. A hook receives (labeled instances, remaining
     pool), the dataset's own records in dataset order, and returns the y
-    value instead, such as a detector score.
+    value instead, such as a detector score; those record lists are built
+    only for a hook.
 
     The campaign keeps one labeled mask over the dataset's instances and
     owns every coverage it needs, one per distinct key (see
@@ -474,14 +526,17 @@ def run_campaign(
     folded once into every coverage; the greedy strategy ranks from its
     coverage, and the radius is read off its own. Every campaign builds
     one ``OracleIndex`` after seeding, which each round updates with its
-    requests.
+    requests; a round's matched rows are folded in dataset order.
 
     Raises:
-        ValueError: without a hook, when no seeded image holds an
-            instance, before any round runs.
+        ValueError: before any round runs, when an instance lacks a
+            positive depth or a field the strategy ranks by, when an
+            instance id lies outside int64, or, without a hook, when no
+            seeded image holds an instance.
     """
     _require_depth(data.instances, "campaign")
     validate_strategy_setup(cfg.strategy, data.instances)
+    ids = data.instance_ids
 
     image_ids = list(data.images)
     n_seed = int(round(cfg.initial_fraction * len(image_ids)))
@@ -500,53 +555,48 @@ def run_campaign(
         rng_seed=cfg.strategy.seed,
     )
 
-    rows = _rows(data)
     mask = _labeled_mask(state, data.instances)
-    labeled, pool = _split(mask, rows)
-
     coverages: dict = {}
     coverage = None
-    if pool and cfg.round_budgets and cfg.strategy.kind in CORESET_KINDS:
+    if not mask.all() and cfg.round_budgets and cfg.strategy.kind in CORESET_KINDS:
         coverage = _coverage(coverages, data, cfg.strategy.views, cfg.pca_var_keep)
     if performance_hook is not None:
-        measure = performance_hook
-    elif not labeled:
+        rows = _rows(data)
+
+        def measure() -> float:
+            return performance_hook(*_split(mask, rows))
+    elif not mask.any():
         raise ValueError("the covering-radius curve needs a labeled set, and no seeded image holds an instance")
     else:
-        radius_coverage = _coverage(coverages, data, data.views)
-
-        def measure(labeled, pool) -> float:
-            return radius_coverage.radius()
+        measure = _coverage(coverages, data, data.views).radius
     for c in coverages.values():
         c.fold(np.flatnonzero(mask))
 
-    points = [CurvePoint(0.0, float(measure(labeled, pool)))]
+    points = [CurvePoint(0.0, float(measure()))]
     oracle = OracleIndex(data, state)
-    ids = data.instance_ids
-    # Kinds that score an instance by its own fields order the dataset once:
+    # Kinds that score an instance by its own fields walk the dataset once:
     # (-score, id) is a strict total order, so its restriction is the pool's.
     order = None
     if cfg.strategy.kind not in ("random", *CORESET_KINDS):
-        order = _order(data.instances, ids, cfg.strategy, None)[0]
+        order = list(_order(data.instances, ids, cfg.strategy, None)[0])
 
     for _ in cfg.round_budgets:
-        if not pool:
+        if mask.all():
             break
         if order is not None:
-            ranking = rows[order[~mask[order]]]
+            ranking = (row for chunk in order for row in chunk[~mask[chunk]].tolist())
         else:
+            pool_rows = np.flatnonzero(~mask)
             seed = _round_seed(state.rng_seed, state.round_index, 1)
-            ranking = (r for r, _ in _ranked(pool, ids[~mask], cfg.strategy, coverage, seed))
-        state, log = _run_round(state, data, cfg, ranking, oracle)
+            ranking = _rows_ranked(pool_rows, _ranked(pool_rows, ids[pool_rows], cfg.strategy, coverage, seed))
+        state, log, matched = _run_round(state, data, cfg, ranking, oracle)
         if log.charged == 0:
             break
-        # Rows of this round's matches, in dataset order.
-        new = np.isin(ids, [ev.instance_id for ev in log.events if ev.outcome == "matched"]).nonzero()[0]
+        new = np.sort(np.array(matched, dtype=np.intp))
         mask[new] = True
-        labeled, pool = _split(mask, rows)
         for c in coverages.values():
             c.fold(new)
-        points.append(CurvePoint(float(state.requested_total), float(measure(labeled, pool))))
+        points.append(CurvePoint(float(state.requested_total), float(measure())))
 
     return Curve(tuple(points)), state
 

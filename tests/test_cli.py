@@ -2,6 +2,9 @@ import errno
 import hashlib
 import json
 import logging
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -487,6 +490,28 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config_path), "--out", str(out2)]) == 0
         for rel in ("seed_0/curve.csv", "seed_1/curve.csv", "seed_2/curve.csv", "curve_mean.csv"):
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes()
+
+    @pytest.mark.parametrize("kind", ["random", "coreset"])
+    def test_reruns_in_other_processes_are_byte_identical(self, sim_setup, kind):
+        # Two interpreters with different string hashes: no output may
+        # depend on the iteration order of a set or dict of strings.
+        config, config_path, tmp_path = sim_setup
+        config_path.write_text(json.dumps(dict(config, strategy={"kind": kind})), encoding="utf-8")
+        src = Path(__file__).resolve().parents[1] / "src"
+        outs = [tmp_path / "hash1", tmp_path / "hash2"]
+        for hashseed, out in zip(("1", "2"), outs):
+            env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=str(src))
+            proc = subprocess.run(
+                [sys.executable, "-m", "alsim.cli", "simulate", "--config", str(config_path), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+        files = sorted(str(p.relative_to(outs[0])) for p in outs[0].rglob("*") if p.is_file())
+        assert files == sorted(str(p.relative_to(outs[1])) for p in outs[1].rglob("*") if p.is_file())
+        per_seed = [f"seed_{s}/{name}" for s in config["seeds"] for name in ("curve.csv", "rounds.jsonl", "state.json")]
+        assert set(per_seed) | {"curve_mean.csv"} <= set(files)
+        for rel in files:
+            assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
 
     def test_seed_override_runs_single_seed(self, sim_setup):
         _, config_path, tmp_path = sim_setup

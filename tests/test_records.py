@@ -132,6 +132,27 @@ class TestDatasetHelpers:
         with pytest.raises(KeyError):
             data.matrix("missing")
 
+    @pytest.mark.parametrize("big", [2**63, -(2**63) - 1, 2**70])
+    def test_ids_outside_int64_flagged(self, big):
+        fits = [2**63 - 1, -(2**63)]
+        data = build_dataset(
+            [two_view_record(i) for i in [*fits, big]], [make_gt(i) for i in [big, *fits]], views=VIEWS
+        )
+        assert validate_dataset(data) == [
+            f"instance {big}: instance_id must be within int64",
+            f"gt {big}: gt_id must be within int64",
+        ]
+        with pytest.raises(ValueError, match=f"^instance_id {big} is outside int64$"):
+            data.instance_ids
+
+    def test_field_columns_built_once(self):
+        data = build_dataset([two_view_record(7), two_view_record(3)], [], views=VIEWS)
+        cx = data.column("cx")
+        assert cx == tuple(r.box2d.cx for r in data.instances)
+        assert data.column("cx") is cx
+        assert data.column("pred_depth") == tuple(r.pred_depth for r in data.instances)
+        assert replace(data, instances=data.instances[1:]).column("instance_id") == (3,)
+
     def test_instance_ids_column_built_once(self):
         data = build_dataset([two_view_record(7), two_view_record(3)], [], views=VIEWS)
         ids = data.instance_ids

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from alsim.features import Coverage, FusedCosineMetric, fused_distance
 from alsim.records import ViewSpec
+from alsim import selection
 from alsim.selection import (
     CORESET_KINDS,
     STRATEGY_KINDS,
@@ -485,3 +486,59 @@ class TestEmbeddedGreedy:
         picks = list(iter_coreset_picks(records[:n_pool], records[n_pool:], CountingMetric(views)))
         assert sorted(r.instance_id for r, _ in picks) == list(range(n_pool))
         assert calls == [n_pool + n_labeled]
+
+
+# Sizes on both sides of the walk's first two cuts.
+FIRST, SECOND = selection._FIRST_CUT, selection._FIRST_CUT * (1 + selection._GROWTH)
+WALK_SIZES = st.sampled_from([FIRST - 1, FIRST, FIRST + 1, SECOND - 1, SECOND, SECOND + 1]) | st.integers(0, 40)
+
+
+class TestBestFirstWalk:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=WALK_SIZES,
+        palette=st.sampled_from([2, 7, 1000, None]),
+        seed=st.integers(0, 2**32 - 1),
+        subset=st.booleans(),
+    )
+    def test_every_prefix_is_the_full_sort(self, n, palette, seed, subset):
+        # Few distinct scores give ties across every cut; the ids are a
+        # permutation, so id order is not row order.
+        rng = np.random.default_rng(seed)
+        scores = rng.random(n) if palette is None else rng.integers(0, palette, n) / 4.0
+        ids = rng.permutation(10 * n + 1)[:n].astype(np.int64)
+        ranked = np.flatnonzero(rng.random(n) < 0.7) if subset else None
+        rows = np.arange(n) if ranked is None else ranked
+        chunks = list(selection._best_first(scores, ids, ranked))
+        walk = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.intp)
+        assert np.array_equal(walk, rows[np.lexsort((ids[rows], -scores[rows]))])
+        if palette is None and len(rows) > FIRST:
+            # Distinct scores: the first cut sorts no more than it must.
+            assert len(chunks[0]) == FIRST
+
+    def test_a_shallow_read_sorts_one_cut(self, monkeypatch):
+        sorted_sizes = []
+        real = np.lexsort
+        monkeypatch.setattr(selection.np, "lexsort", lambda keys: sorted_sizes.append(len(keys[0])) or real(keys))
+        pool = [make_record(i) for i in range(20 * FIRST)]
+        assert len(list(islice(rank_pool(pool, StrategyConfig("random"), seed=3), FIRST // 2))) == FIRST // 2
+        assert sorted_sizes == [FIRST]
+
+
+DEPTH = st.floats(1e-3, 1e4) | st.integers(1, 90) | st.sampled_from([30.0, 30.000000000000004, 1e150])
+
+
+class TestDepthVariances:
+    @settings(deadline=None)
+    @given(
+        depths=st.lists(
+            st.tuples(st.none() | DEPTH, st.none() | st.lists(DEPTH | st.floats(-1e4, 1e4), max_size=9).map(tuple)),
+            max_size=30,
+        )
+    )
+    def test_bit_equal_to_the_scalar_reference(self, depths):
+        records = [make_record(i, pred_depth=d, aux_depths=aux) for i, (d, aux) in enumerate(depths)]
+        expected = np.array([ensemble_depth_variance(r) for r in records], dtype=np.float64)
+        got = selection._depth_variances(records)
+        assert got.dtype == np.float64
+        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from alsim import features, geometry, selection, simulation
 from alsim.dataio import load_dataset, write_dataset
 from alsim.features import FusedCosineMetric, fused_distance, pca_fit, pca_transform
-from alsim.geometry import match_request, suppress_duplicate
-from alsim.records import ViewSpec
+from alsim.geometry import labeling_radius, match_request, suppress_duplicate
+from alsim.records import CameraModel, ViewSpec, validate_dataset
 from alsim.selection import CORESET_KINDS, STRATEGY_KINDS, DepthFilters, StrategyConfig, ensemble_depth_variance
 from alsim.simulation import (
     CampaignConfig,
@@ -403,13 +403,27 @@ class TestRunCampaign:
         # The campaign orders the dataset once, so each instance's depth
         # variance is computed once, not once per round it stays in the pool.
         scored = []
-        real = selection.ensemble_depth_variance
-        monkeypatch.setattr(selection, "ensemble_depth_variance", lambda r: scored.append(r.instance_id) or real(r))
+        real = selection._depth_variances
+        monkeypatch.setattr(
+            selection, "_depth_variances", lambda records: scored.extend(r.instance_id for r in records) or real(records)
+        )
         data = generate_synthetic(SyntheticSpec(8, 25), seed=0)
         cfg = CampaignConfig(StrategyConfig("ens_depth_var"), tuple(range(10, 101, 10)))
         _, state = run_campaign(cfg, data, self.hook)
         assert len(state.history) == 10
         assert len(scored) == len(data.instances)
+
+    def test_ids_outside_int64_refused_up_front(self):
+        # A hand-built dataset the loader never saw: the validator names
+        # the id, and the campaign refuses it before any round.
+        data = generate_synthetic(SyntheticSpec(2, 4), seed=0)
+        data = replace(data, instances=(replace(data.instances[0], instance_id=2**70), *data.instances[1:]))
+        assert validate_dataset(data) == [f"instance {2**70}: instance_id must be within int64"]
+        rounds = []
+        with patch.object(simulation, "_run_round", lambda *args: rounds.append(args)):
+            with pytest.raises(ValueError, match=f"^instance_id {2**70} is outside int64$"):
+                run_campaign(CampaignConfig(StrategyConfig("random"), (1, 2, 3, 4)), data)
+        assert rounds == []
 
     def test_integral_float_and_numpy_budgets_accepted(self):
         budgets = (400.0, np.int64(800), np.float64(1200.0), 10**400)
@@ -896,13 +910,14 @@ class TestOracleIndex:
             ref, ref_log = run_round(ref, data, cfg, pool_of(ref, data), oracle=None)
             assert ref_log.events == log.events
 
-    def test_one_radius_per_request_not_remembered(self, monkeypatch):
+    def test_radii_once_and_one_scan_per_request_not_remembered(self, monkeypatch):
         # A crowded greedy campaign: 410 requests, 314 suppressed, 245 of
         # them for an instance already suppressed in an earlier round.
-        # Only the other 165 compute a labeling radius or scan priors.
+        # Only the other 165 scan priors, and the labeling radii are
+        # computed once, as one column over the dataset's rows.
         data = generate_synthetic(SyntheticSpec(4, 60), seed=0)
         data = replace(data, ground_truth=data.ground_truth[::3])
-        calls = {"radius": 0, "scan": 0}
+        calls = {"radii": 0, "scan": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -910,7 +925,7 @@ class TestOracleIndex:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(simulation, "labeling_radius", counted("radius", simulation.labeling_radius))
+        monkeypatch.setattr(simulation, "_radii", counted("radii", simulation._radii))
         monkeypatch.setattr(simulation, "_suppresses", counted("scan", simulation._suppresses))
         cfg = CampaignConfig(StrategyConfig("coreset", views=data.views, seed=0), tuple(range(8, 97, 8)))
         _, state = run_campaign(cfg, data, lambda lab, pool: 0.0)
@@ -919,7 +934,38 @@ class TestOracleIndex:
         suppressed = [ev.instance_id for ev in events if ev.outcome == "suppressed"]
         remembered = len(suppressed) - len(set(suppressed))
         assert (len(events), len(suppressed), remembered) == (410, 314, 245)
-        assert calls == {"radius": len(events) - remembered, "scan": len(events) - remembered}
+        assert calls == {"radii": 1, "scan": len(events) - remembered}
+
+    @settings(deadline=None)
+    @given(
+        depths=st.lists(st.floats(1e-3, 1e4) | st.integers(1, 90) | st.none(), min_size=1, max_size=20),
+        focal=st.tuples(st.floats(1.0, 5000.0), st.floats(1.0, 5000.0) | st.integers(1, 5000)),
+        h_scale=st.floats(0.05, 10.0) | st.sampled_from([2, 2.0]),
+    )
+    def test_radius_column_is_labeling_radius_bit_for_bit(self, depths, focal, h_scale):
+        data = build_dataset(
+            [make_record(i, pred_depth=d) for i, d in enumerate(depths)], [], camera=CameraModel(*focal)
+        )
+        r_x, r_y = simulation._radii(data, h_scale)
+        for d, x, y in zip(depths, r_x, r_y):
+            if d is None:
+                assert math.isnan(x) and math.isnan(y)
+            else:
+                rad = labeling_radius(data.camera, d, h_scale)
+                assert (x.hex(), y.hex()) == (float(rad.r_x).hex(), float(rad.r_y).hex())
+
+    def test_nonpositive_depth_refused_before_any_request(self):
+        # A window needs a positive depth; such a pool is refused up front,
+        # as labeling_radius would refuse the request.
+        data = build_dataset(
+            [make_record(i, center=(60.0 * (i + 1), 50.0), pred_depth=d) for i, d in enumerate([10.0, -2.0])],
+            [make_gt(100, center=(60.0, 50.0))],
+        )
+        with pytest.raises(ValueError, match=r"^the round's pool needs pred_depth > 0; instance 1 has -2.0$"):
+            run_round(fresh_state(), data, round_config((1,)), list(data.instances))
+        cfg = CampaignConfig(StrategyConfig("random"), (1,), initial_fraction=0.0)
+        with pytest.raises(ValueError, match=r"^campaign needs pred_depth > 0; instance 1 has -2.0$"):
+            run_campaign(cfg, data, lambda lab, pool: 0.0)
 
     def test_index_under_another_h_scale_refused(self):
         data = build_dataset(
