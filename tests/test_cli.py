@@ -491,6 +491,31 @@ class TestSimulate:
         for rel in ("seed_0/curve.csv", "seed_1/curve.csv", "seed_2/curve.csv", "curve_mean.csv"):
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes()
 
+    def test_crowded_rounds_are_pinned(self, tmp_path):
+        # Crowded images, a third of their objects kept: most windows hold
+        # several open objects, many requests find none, and suppressions
+        # pile up. The digest was taken before the oracle kept each image's
+        # open objects sorted by centre x and built light events; it covers
+        # every byte of both seeds' rounds.jsonl.
+        data = generate_synthetic(SyntheticSpec(clusters=4, per_cluster=60), seed=3)
+        data = replace(data, ground_truth=data.ground_truth[::3])
+        manifest = tmp_path / "data" / "manifest.jsonl"
+        write_dataset(data, manifest)
+        config = {
+            "dataset": str(manifest),
+            "strategy": {"kind": "random"},
+            "campaign": {"round_budgets": list(range(8, 97, 8)), "initial_fraction": 0.25},
+            "seeds": [0, 1],
+        }
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "runs"
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+        digest = hashlib.sha256()
+        for seed in config["seeds"]:
+            digest.update((out / f"seed_{seed}" / "rounds.jsonl").read_bytes())
+        assert digest.hexdigest() == "565ab7efcc4bd0820ecea9b48516a4d50d7f8424880c4bb983b8f3ac79f7f94b"
+
     @pytest.mark.parametrize("kind", ["random", "coreset"])
     def test_reruns_in_other_processes_are_byte_identical(self, sim_setup, kind):
         # Two interpreters with different string hashes: no output may

@@ -20,6 +20,7 @@ from alsim.selection import CORESET_KINDS, STRATEGY_KINDS, DepthFilters, Strateg
 from alsim.simulation import (
     CampaignConfig,
     OracleIndex,
+    RequestEvent,
     RoundState,
     SyntheticSpec,
     _labeled_mask,
@@ -1011,6 +1012,19 @@ class TestOracleIndex:
         assert offered_on(edge) == ([[7]], [("matched", 7)])
         assert offered_on(float(np.nextafter(edge, side * math.inf))) == ([[]], [("null", None)])
 
+    def test_nan_centre_is_in_no_window_and_hides_no_other(self):
+        # A hand-built dataset skips the loader's finiteness check. Sorted
+        # with a NaN among them, 60, 20 and 100 would stay out of order.
+        xs = [60.0, math.nan, 20.0, 100.0]
+        data = build_dataset(
+            [make_record(i, center=(x, 50.0), pred_depth=10.0, size=(10, 10)) for i, x in enumerate(xs)],
+            [make_gt(100 + i, center=(x, 50.0), pixel_height=60.0) for i, x in enumerate(xs)],
+        )
+        _, log = run_round(fresh_state(), data, round_config((4,)), list(data.instances))
+        assert sorted((ev.outcome, ev.gt_id) for ev in log.events) == [
+            ("matched", 100), ("matched", 102), ("matched", 103), ("null", None),
+        ]
+
     def test_empty_ledger_skips_the_pass_over_instances(self):
         class NoPass(tuple):
             def __iter__(self):
@@ -1038,6 +1052,138 @@ class TestOracleIndex:
             run_round(state, data, cfg, list(data.instances), oracle=oracle)
         _, log = run_round(new_state, data, cfg, pool_of(new_state, data), oracle=oracle)
         assert [ev.outcome for ev in log.events] == ["matched"]
+
+    def test_index_of_another_dataset_refused(self):
+        # Two datasets of the same shape: an index of one, handed to a
+        # round of the other, used to match that round's requests against
+        # the wrong ground truth.
+        a = generate_synthetic(SyntheticSpec(2, 10), seed=0)
+        b = generate_synthetic(SyntheticSpec(2, 10), seed=1)
+        state = fresh_state()
+        cfg = round_config((5,), kind="random")
+        oracle = OracleIndex(a, state)
+        with pytest.raises(ValueError, match="^oracle index was built from another dataset$"):
+            run_round(state, b, cfg, list(b.instances), oracle=oracle)
+        assert (oracle.round_index, oracle.h_scale, oracle.radii) == (0, None, None)
+        _, log = run_round(state, b, cfg, list(b.instances))
+        assert [(ev.outcome, ev.gt_id) for ev in log.events] == [("matched", g) for g in (12, 9, 13, 14, 19)]
+        _, log = run_round(state, a, cfg, list(a.instances), oracle=oracle)
+        assert log.matched == 5 and oracle.round_index == 1
+
+
+def _nudged(value: float, steps: int) -> float:
+    """``value`` moved ``steps`` ulps up, or down for a negative count."""
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+@st.composite
+def truth_windows(draw):
+    """Ground truth of one image crowded around a request's window: centre
+    coordinates shared between objects, on each edge of the window and up
+    to two ulps to either side, and anywhere near it, on both axes; some
+    objects equal in every field; radii from ``_radii``; and an order in
+    which objects are closed."""
+    center = (draw(st.floats(-2e3, 2e3)), draw(st.floats(-2e3, 2e3)))
+    depth = draw(st.floats(0.5, 80.0) | st.sampled_from([5.0, 10.0, 20.0]))
+    focal = draw(st.sampled_from([100.0, 707.05]))
+    h_scale = draw(st.sampled_from([2.0, 0.7]))
+    data = build_dataset([make_record(0, center=center, pred_depth=depth)], [], camera=CameraModel(focal, focal))
+    (r_x,), (r_y,) = simulation._radii(data, h_scale)
+
+    def coordinate(c, r, shared):
+        edge = st.builds(_nudged, st.sampled_from([c - r, c + r]), st.integers(-2, 2))
+        return edge | st.sampled_from(shared) | st.floats(c - 2 * r, c + 2 * r)
+
+    shared_x = draw(st.lists(st.floats(center[0] - 2 * r_x, center[0] + 2 * r_x), min_size=1, max_size=3))
+    shared_y = draw(st.lists(st.floats(center[1] - 2 * r_y, center[1] + 2 * r_y), min_size=1, max_size=3))
+    objects = draw(st.lists(
+        st.builds(
+            lambda gt_id, x, y: make_gt(gt_id, center=(x, y)),
+            st.integers(0, 6),
+            coordinate(center[0], r_x, shared_x),
+            coordinate(center[1], r_y, shared_y),
+        ),
+        max_size=25,
+    ))
+    objects += [replace(g) for g in draw(st.lists(st.sampled_from(objects), max_size=4))] if objects else []
+    closes = draw(st.permutations(range(len(objects))))[: draw(st.integers(0, len(objects)))]
+    return objects, center, r_x, r_y, closes
+
+
+class TestImageTruth:
+    @settings(deadline=None, max_examples=300)
+    @given(fixture=truth_windows())
+    def test_window_is_the_two_axis_test_over_the_open_objects(self, fixture):
+        objects, center, r_x, r_y, closes = fixture
+        truth = simulation._ImageTruth(objects)
+        # Open objects in x order, equal x in the order given.
+        open_ = sorted(objects, key=lambda g: g.center2d[0])
+        for i in [None, *closes]:
+            if i is not None:
+                truth.close(objects[i])
+                open_ = [g for g in open_ if g is not objects[i]]
+            assert [id(g) for g in truth.objects] == [id(g) for g in open_]
+            assert truth.xs == [g.center2d[0] for g in open_]
+            inside = [
+                g for g in open_
+                if abs(g.center2d[0] - center[0]) <= r_x and abs(g.center2d[1] - center[1]) <= r_y
+            ]
+            assert [id(g) for g in truth.window(center, r_x, r_y)] == [id(g) for g in inside]
+
+    @pytest.mark.parametrize("depth, c", [(4.25, 60.0625), (2.75, -95.8125)], ids=["low_edge", "high_edge"])
+    def test_window_keeps_objects_past_the_rounded_bound(self, depth, c):
+        # Here ``c - r`` (or ``c + r``) cancels to a float finer than
+        # ``x - c``, so an object just past that rounded bound still has
+        # ``abs(x - c) <= r``, exactly on the edge, and is in the window.
+        data = build_dataset([make_record(0, center=(c, c), pred_depth=depth)], [])
+        (r_x,), (r_y,) = simulation._radii(data, 2.0)
+        xs = [_nudged(edge, k) for edge in (c - r_x, c + r_x) for k in range(-3, 4)]
+        assert any((x < c - r_x or x > c + r_x) and abs(x - c) == r_x for x in xs)
+        objects = [make_gt(i, center=(x, c)) for i, x in enumerate(xs)]
+        inside = [g for g in objects if abs(g.center2d[0] - c) <= r_x]
+        assert simulation._ImageTruth(objects).window((c, c), r_x, r_y) == inside
+
+    def test_close_removes_the_object_passed_among_equal_ones(self):
+        a = make_gt(7, center=(10.0, 5.0))
+        b, c = replace(a), replace(a)
+        assert a == b == c and a is not b and b is not c
+        truth = simulation._ImageTruth([make_gt(3, center=(10.0, 9.0)), a, b, c])
+        truth.close(b)
+        assert [g.gt_id for g in truth.objects] == [3, 7, 7]
+        assert truth.objects[1] is a and truth.objects[2] is c
+        truth.close(c)
+        assert truth.objects[1:] == [a] and truth.objects[1] is a
+        assert truth.window((10.0, 5.0), 0.0, 0.0) == [a]
+
+
+class TestRequestEvent:
+    def test_immutable(self):
+        ev = RequestEvent(0, 1, "img0", "null", None, True)
+        with pytest.raises(AttributeError):
+            ev.outcome = "matched"
+        with pytest.raises(AttributeError):
+            ev.note = "late"
+        assert ev == RequestEvent(0, 1, "img0", "null", None, True)
+
+    def test_construction_and_json(self):
+        positional = RequestEvent(3, 41, "img2", "matched", 9, True)
+        keyword = RequestEvent(round_index=3, instance_id=41, image_id="img2", outcome="matched", gt_id=9, charged=True)
+        assert positional == keyword
+        assert positional.to_json() == keyword.to_json()
+        assert list(positional.to_json().items()) == [
+            ("round", 3), ("instance_id", 41), ("image_id", "img2"), ("outcome", "matched"), ("charged", True),
+            ("gt_id", 9),
+        ]
+        suppressed = RequestEvent(3, 42, "img2", "suppressed")
+        assert (suppressed.gt_id, suppressed.charged) == (None, False)
+        assert suppressed == RequestEvent(round_index=3, instance_id=42, image_id="img2", outcome="suppressed")
+        assert list(suppressed.to_json().items()) == [
+            ("round", 3), ("instance_id", 42), ("image_id", "img2"), ("outcome", "suppressed"), ("charged", False),
+        ]
+        null = RequestEvent(0, 5, "img0", "null", charged=True)
+        assert null.to_json() == {"round": 0, "instance_id": 5, "image_id": "img0", "outcome": "null", "charged": True}
 
 
 class TestGenerateSynthetic:
