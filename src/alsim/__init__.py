@@ -35,7 +35,6 @@ from .selection import (
 )
 from .simulation import (
     CampaignConfig,
-    OracleIndex,
     RoundLog,
     RoundState,
     SyntheticSpec,

@@ -113,7 +113,7 @@ def read_blob(path) -> np.ndarray:
 def _parse_views(header: dict) -> tuple[ViewSpec, ...]:
     views = []
     for entry in header.get("views", []):
-        views.append(ViewSpec(name=str(entry["name"]), dim=_whole(entry["dim"]), lam=_real(entry["lambda"])))
+        views.append(ViewSpec(name=sys.intern(entry["name"]), dim=_whole(entry["dim"]), lam=_real(entry["lambda"])))
     return tuple(views)
 
 
@@ -221,8 +221,9 @@ def _read_lines(path: Path, fh, cols: dict[str, list], lines: dict[str, array], 
 
     Each line is decoded once and each field appended as it is read, so a
     line that fails partway leaves the fields read before the fault in the
-    columns. The values are not checked here; ``_check_columns`` checks
-    each column once.
+    columns. Image ids, which must be strings, and inline vectors, which
+    must be lists of numbers, are refused here; every other value is
+    checked by ``_check_columns``, once per column.
     """
     decode = json.JSONDecoder().raw_decode
     intern = sys.intern
@@ -252,7 +253,7 @@ def _read_lines(path: Path, fh, cols: dict[str, list], lines: dict[str, array], 
                 instance_line(lineno)
                 box = obj["box2d"]
                 aux = obj.get("aux_depths")
-                image_id(intern(str(obj["image_id"])))
+                image_id(intern(obj["image_id"]))
                 instance_id(obj["instance_id"])
                 class_id(obj["class_id"])
                 cx(box["cx"])
@@ -265,13 +266,17 @@ def _read_lines(path: Path, fh, cols: dict[str, list], lines: dict[str, array], 
                 for name, vec in obj.get("features", {}).items():
                     flat, lengths = inline[name]
                     flat.fromlist(vec)
+                    # fromlist takes a boolean as 0 or 1; no numeric field does.
+                    if bool in set(map(type, vec)):
+                        for value in vec:
+                            _real(value)
                     lengths.append(len(vec))
                 continue
             if kind == "gt":
                 gt_line(lineno)
                 x, y = obj["center2d"]
                 gt_id(obj["gt_id"])
-                gt_image_id(intern(str(obj["image_id"])))
+                gt_image_id(intern(obj["image_id"]))
                 gt_class_id(obj["class_id"])
                 center2d((x, y))
                 depth(obj["depth"])

@@ -15,14 +15,15 @@ columns (``Dataset.column``) by row. The campaign walks its dataset's
 order once for the kinds that score an instance by its own fields, and
 ranks each round's pool anew for ``random`` and the greedy kinds; every
 ranking is lazy, so a round sorts or picks only as deep as it reads. The
-oracle's state is one ``OracleIndex`` per campaign, which holds every
-row's labeling radius, computed once for the whole dataset, and each
-image's open ground truth sorted by centre x. A request is matched
-against only the open objects inside its window, found by bisection on
-x and a test in y over that run, and the rows it labels are folded in
-dataset order, so a round's oracle cost is in its requests, not in the
-dataset's size. The (labeled, pool) record lists are built only for a
-caller's performance hook.
+oracle's state is one ``OracleIndex`` per campaign, private to it, which
+holds every row's labeling radius, computed once for the whole dataset,
+and each image's open ground truth sorted by centre x; a standalone
+``run_round`` builds its coverage and its index from the state's ledger.
+A request is matched against only the open objects inside its window,
+found by bisection on x and a test in y over that run, and the rows it
+labels are folded in dataset order, so a round's oracle cost is in its
+requests, not in the dataset's size. The (labeled, pool) record lists
+are built only for a caller's performance hook.
 
 The module also carries the training-side schedules of the simulated
 detector ensemble (time-decayed label bagging and loss-weight
@@ -53,7 +54,6 @@ __all__ = [
     "RequestEvent",
     "RoundLog",
     "RoundState",
-    "OracleIndex",
     "CampaignConfig",
     "bagging_fraction",
     "sample_loss_weights",
@@ -291,33 +291,27 @@ class _ImageTruth:
 
 
 class OracleIndex:
-    """The oracle's per-image state at the start of round ``round_index``.
+    """The oracle's state between the rounds of one campaign, under one
+    labeling-window scale.
 
-    ``priors`` maps ``(image_id, class_id)`` to the ``(center, class_id)``
-    pairs of the requests charged so far; ``truth`` maps an image to its
-    open ground truth, sorted by centre x (``_ImageTruth``), which a
-    match shrinks; ``suppressed`` holds the ids of the instances whose
-    request this index has suppressed. Built from ``data`` and a state's
-    ledger (``charged_ids``, ``labeled_gt``) with nothing suppressed;
-    ``run_round`` updates it in place with each request and then advances
-    ``round_index``, so a campaign carries one index through all its
-    rounds. The index keeps ``data``, and ``run_round`` refuses it for
-    any other dataset.
+    ``radii`` holds every dataset row's labeling radius on each axis under
+    ``h_scale`` (``_radii``), computed once here; ``priors`` maps
+    ``(image_id, class_id)`` to the ``(center, class_id)`` pairs of the
+    requests charged so far; ``truth`` maps an image to its open ground
+    truth, sorted by centre x (``_ImageTruth``), which a match shrinks;
+    ``suppressed`` holds the ids of the instances whose request this index
+    has suppressed. Built from ``data`` and a state's ledger
+    (``charged_ids``, ``labeled_gt``) with nothing suppressed;
+    ``_run_round`` updates it in place with each request, so a campaign
+    carries one index through all its rounds.
 
-    Priors are only ever added and the camera is fixed, so a suppressed
-    instance stays suppressed: a later request for it is suppressed from
-    ``suppressed`` without a scan of its priors. That holds under one
-    labeling-window scale only, so the first round records its
-    ``h_scale`` here, with ``radii``, every dataset row's labeling radius
-    on each axis under it (``_radii``), and ``run_round`` refuses the
-    index under another scale.
+    Priors are only ever added and the camera and scale are fixed, so a
+    suppressed instance stays suppressed: a later request for it is
+    suppressed from ``suppressed`` without a scan of its priors.
     """
 
-    def __init__(self, data: Dataset, state: RoundState):
-        self.data = data
-        self.round_index: int | None = state.round_index
-        self.h_scale: float | None = None
-        self.radii: tuple[list[float], list[float]] | None = None
+    def __init__(self, data: Dataset, state: RoundState, h_scale: float):
+        self.radii = _radii(data, h_scale)
         self.suppressed: set[int] = set()
         self.priors: dict[tuple[str, int], list[tuple[tuple[float, float], int]]] = {}
         # No charges, as at every campaign's start: no instance to look up.
@@ -377,47 +371,45 @@ def run_round(
     data: Dataset,
     cfg: CampaignConfig,
     pool: Sequence[InstanceRecord],
-    coverage: Coverage | None = None,
-    oracle: OracleIndex | None = None,
 ) -> tuple[RoundState, RoundLog]:
-    """Run one selection round up to its cumulative budget target.
+    """Run one selection round up to its cumulative budget target, from
+    ``state``'s ledger alone.
 
     The strategy ranks ``pool`` (records of ``data``, whose rows the round
     finds by instance id) as given, with the round's own seed, as deep as
-    the round reads; greedy kinds rank from ``coverage``, which is left
-    unchanged, or from one built from ``state``'s labels when it is not
-    given. Requests are issued in rank order, and each request's labeling
-    radius is read off the index's radius column, computed once for every
-    dataset row. A request within 95% of that radius of an earlier
-    same-class request in the same image is suppressed without charge, and
-    so is, without a scan, a request for an instance the index suppressed
-    before. Every other request is charged, matched or not,
-    against the open ground truth inside its labeling window; matched
-    ground truth moves to the labeled set. The round stops once the
-    cumulative requested total reaches this round's budget target or the
-    ranking is exhausted. Earlier rounds are read from ``oracle``, which
-    the round updates in place and advances to the next round, or from an
-    index built from ``state``'s ledger when it is not given. The loop
-    records only the events (and the charged count the budget needs); the
-    round log's counts and the returned state's labels and ledger are read
-    off those events.
+    the round reads; greedy kinds rank from a coverage with ``state``'s
+    labeled rows folded. Requests are issued in rank order against an
+    ``OracleIndex`` built from ``state``'s ledger, and each request's
+    labeling radius is read off the index's radius column. A request
+    within 95% of that radius of an earlier same-class request in the same
+    image is suppressed without charge. Every other request is charged,
+    matched or not, against the open ground truth inside its labeling
+    window; matched ground truth moves to the labeled set. The round stops
+    once the cumulative requested total reaches this round's budget
+    target or the ranking is exhausted. The loop records only the events
+    (and the charged count the budget needs); the round log's counts and
+    the returned state's labels and ledger are read off those events.
+
+    ``run_campaign`` runs the same loop over the coverages and the one
+    index it carries through all its rounds; rebuilt from the ledger,
+    they give a standalone round the campaign's events for that round.
 
     Raises:
         ValueError: before any request, if a pool record is not in
             ``data``, lacks its depth, has one that is not > 0, or lacks a
-            field the strategy ranks by, if the budget target lies
-            below the current total, or if ``oracle`` is at another round
-            than ``state`` or was used under another ``h_scale``.
+            field the strategy ranks by, if no budget is configured for
+            the round, or if its target lies below the current total.
     """
     _require_depth(pool, "the round's pool")
     validate_strategy_setup(cfg.strategy, pool)
     rows = _pool_rows(data, pool)
-    if cfg.strategy.kind in CORESET_KINDS and coverage is None:
+    coverage = None
+    if cfg.strategy.kind in CORESET_KINDS:
         coverage = _coverage({}, data, cfg.strategy.views, cfg.pca_var_keep)
         coverage.fold(np.flatnonzero(_labeled_mask(state, data.instances)))
     seed = _round_seed(state.rng_seed, state.round_index, 1)
     ranking = _rows_ranked(rows, _ranked(pool, data.instance_ids[rows], cfg.strategy, coverage, seed))
-    return _run_round(state, data, cfg, ranking, oracle)[:2]
+    return _run_round(state, data, cfg, ranking, OracleIndex(data, state, cfg.h_scale))[:2]
 
 
 def _run_round(
@@ -425,32 +417,20 @@ def _run_round(
     data: Dataset,
     cfg: CampaignConfig,
     ranking: Iterable[int],
-    oracle: OracleIndex | None,
+    oracle: OracleIndex,
 ) -> tuple[RoundState, RoundLog, list[int]]:
     """``run_round``'s oracle loop over ``ranking``, a checked pool's dataset
-    rows best-first, also giving the rows whose request matched, in request
-    order. It is pulled only below the target and left right after the
-    charge that reaches it: a greedy ranking folds a pick only when asked,
-    and a lazy one sorts no deeper than the round reads."""
+    rows best-first, against ``oracle``, an index of ``data`` at ``state``
+    under ``cfg.h_scale``, which it updates in place; it also gives the rows
+    whose request matched, in request order. The ranking is pulled only
+    below the target and left right after the charge that reaches it: a
+    greedy ranking folds a pick only when asked, and a lazy one sorts no
+    deeper than the round reads."""
     if state.round_index >= len(cfg.round_budgets):
         raise ValueError(f"no budget configured for round {state.round_index}")
     target = cfg.round_budgets[state.round_index]
     if target < state.requested_total:
         raise ValueError(f"budget target {target} below already requested {state.requested_total}")
-    if oracle is None:
-        oracle = OracleIndex(data, state)
-    elif oracle.data is not data:
-        raise ValueError("oracle index was built from another dataset")
-    elif oracle.round_index != state.round_index:
-        raise ValueError(f"oracle index is at round {oracle.round_index}, state at round {state.round_index}")
-    elif oracle.h_scale not in (None, cfg.h_scale):
-        raise ValueError(f"oracle index was used under h_scale {oracle.h_scale}, this round has {cfg.h_scale}")
-    # Marked in progress until the loop ends, so an index left half
-    # updated by an error is refused by the next round.
-    oracle.round_index = None
-    if oracle.radii is None:
-        oracle.radii = _radii(data, cfg.h_scale)
-    oracle.h_scale = cfg.h_scale
 
     ids, images, classes, xs, ys = map(data.column, ("instance_id", "image_id", "class_id", "cx", "cy"))
     rxs, rys = oracle.radii
@@ -485,7 +465,6 @@ def _run_round(
         events.append(RequestEvent(round_index, iid, image, outcome, result.gt_id, True))
         if state.requested_total + charged >= target:
             break
-    oracle.round_index = round_index + 1
 
     matched = [ev for ev in events if ev.outcome == "matched"]
     labeled_gt = state.labeled_gt | {ev.gt_id for ev in matched}
@@ -595,7 +574,7 @@ def run_campaign(
         c.fold(np.flatnonzero(mask))
 
     points = [CurvePoint(0.0, float(measure()))]
-    oracle = OracleIndex(data, state)
+    oracle = OracleIndex(data, state, cfg.h_scale)
     # Kinds that score an instance by its own fields walk the dataset once:
     # (-score, id) is a strict total order, so its restriction is the pool's.
     order = None

@@ -195,6 +195,31 @@ class TestIngest:
         assert capsys.readouterr().err.startswith(f"error: {raw}{message}")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "line, mangle, message",
+        [
+            (2, lambda obj: obj.update(features={"v": [True, 1.0]}),
+             ":3: malformed instance line (ValueError('expected a number, got True'))"),
+            (1, lambda obj: obj.update(image_id=None),
+             ":2: malformed instance line (TypeError('intern() argument must be str, not None'))"),
+            (2, lambda obj: obj.update(image_id=False),
+             ":3: malformed instance line (TypeError('intern() argument must be str, not bool'))"),
+            (4, lambda obj: obj.update(image_id=7),
+             ":5: malformed gt line (TypeError('intern() argument must be str, not int'))"),
+            (0, lambda obj: obj["views"][0].update(name=1),
+             ": malformed header line (TypeError('intern() argument must be str, not int'))"),
+        ],
+        ids=["features-true", "image_id-null", "image_id-false", "gt_image_id-int", "view_name-int"],
+    )
+    def test_booleans_in_vectors_and_non_string_names_exit_1(self, tmp_path, capsys, line, mangle, message):
+        lines = raw_lines()
+        mangle(lines[line])
+        raw = tmp_path / "raw.jsonl"
+        write_raw(raw, lines)
+        assert main(["ingest", "--input", str(raw), "--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {raw}{message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("features", [{}, {"v": [1.0, 2.0, 3.0]}])
     def test_missing_or_misshapen_inline_view_rejected(self, tmp_path, capsys, features):
         lines = raw_lines()

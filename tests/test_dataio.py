@@ -492,6 +492,66 @@ class TestLoadErrors:
         with pytest.raises(DatasetError, match=r"manifest.jsonl:2: malformed instance line \(ValueError"):
             load_dataset(self._write_manifest(tmp_path, [self._header({"v": "v.alf"}), instance]))
 
+    def _raw_lines(self, count):
+        """A raw export's lines: a header without blobs, ``count`` instances
+        with their vectors inline, and one gt line."""
+        header = self._header({})
+        del header["blobs"]
+        instances = [dict(self._instance(i), features={"v": [float(i), 1.0]}) for i in range(count)]
+        gt = {"kind": "gt", "gt_id": 3, "image_id": "img0", "class_id": 0, "center2d": [10.0, 10.0],
+              "depth": 10.0, "pixel_height": 40.0}
+        return [header, *instances, gt]
+
+    @pytest.mark.parametrize(
+        "line, key, value, fault",
+        [
+            (1, "features", {"v": [True, 1.0]}, "ValueError('expected a number, got True')"),
+            (1, "features", {"v": [1.0, False]}, "ValueError('expected a number, got False')"),
+            (1, "image_id", None, "TypeError('intern() argument must be str, not None')"),
+            (1, "image_id", False, "TypeError('intern() argument must be str, not bool')"),
+            (1, "image_id", 7, "TypeError('intern() argument must be str, not int')"),
+            (2, "image_id", 7, "TypeError('intern() argument must be str, not int')"),
+        ],
+        ids=["features-true", "features-false", "image_id-null", "image_id-false", "image_id-int",
+             "gt_image_id-int"],
+    )
+    def test_booleans_in_vectors_and_non_string_image_ids_refused(self, tmp_path, line, key, value, fault):
+        lines = self._raw_lines(1)
+        lines[line][key] = value
+        kind = "instance" if line == 1 else "gt"
+        with pytest.raises(DatasetError) as info:
+            read_raw_export(self._write_manifest(tmp_path, lines))
+        assert str(info.value).endswith(f"manifest.jsonl:{line + 1}: malformed {kind} line ({fault})")
+
+    def test_non_string_view_name_refused(self, tmp_path):
+        lines = self._raw_lines(1)
+        lines[0]["views"][0]["name"] = 3
+        with pytest.raises(DatasetError) as info:
+            read_raw_export(self._write_manifest(tmp_path, lines))
+        fault = "TypeError('intern() argument must be str, not int')"
+        assert str(info.value).endswith(f"manifest.jsonl: malformed header line ({fault})")
+
+    @pytest.mark.parametrize("key, value", [("features", {"v": [True, 1.0]}), ("image_id", 7)])
+    def test_a_fault_read_earlier_is_named_before_a_refused_value(self, tmp_path, key, value):
+        # A boolean item or a non-string image id is refused while its line
+        # is read, a type fault by its column's check after every line: the
+        # earlier line is named, and on one line the field read first.
+        lines = self._raw_lines(3)
+        lines[3][key] = value
+        lines[1]["confidence"] = "0.5"
+        with pytest.raises(DatasetError) as info:
+            read_raw_export(self._write_manifest(tmp_path, lines))
+        assert str(info.value).endswith("manifest.jsonl:2: malformed instance line "
+                                        "(ValueError(\"expected a number, got '0.5'\"))")
+        lines[1]["confidence"] = 0.5
+        lines[3]["class_id"] = 0.5
+        with pytest.raises(DatasetError) as info:
+            read_raw_export(self._write_manifest(tmp_path, lines))
+        # The image id is read before the class id, the vectors after it.
+        fault = {"features": "ValueError('expected a whole number, got 0.5')",
+                 "image_id": "TypeError('intern() argument must be str, not int')"}[key]
+        assert str(info.value).endswith(f"manifest.jsonl:4: malformed instance line ({fault})")
+
     @pytest.mark.parametrize("line, key", [(1, "instance_id"), (1, "class_id"), (2, "gt_id"), (2, "class_id")])
     def test_ids_outside_int64_refused(self, tmp_path, line, key):
         write_blob(tmp_path / "v.alf", [[1.0, 2.0]])

@@ -225,6 +225,11 @@ class TestRunRound:
         assert state.requested_total == 3
         assert state.labeled_gt == {100, 101, 102}
         assert [ev.outcome for ev in log.events] == ["matched"] * 3
+        # A random round over synthetic images, which hold an object under
+        # every instance, matches its first five picks.
+        data = generate_synthetic(SyntheticSpec(2, 10), seed=1)
+        _, log = run_round(fresh_state(), data, round_config((5,), kind="random"), list(data.instances))
+        assert [(ev.outcome, ev.gt_id) for ev in log.events] == [("matched", g) for g in (12, 9, 13, 14, 19)]
 
     def test_false_positive_charges_without_labeling(self):
         instances = [make_record(0, center=(50.0, 50.0), pred_depth=10.0, size=(30, 40))]
@@ -313,8 +318,7 @@ class TestRunRound:
 
     def test_depthless_pool_refused_before_any_request(self):
         # The budget stops at the first request, so the depthless record
-        # would never be requested; the pool is refused all the same, and
-        # the index is left at its round.
+        # would never be requested; the pool is refused all the same.
         data = build_dataset(
             [
                 make_record(0, center=(60.0, 50.0), pred_depth=10.0, confidence=0.1, size=(10, 10)),
@@ -322,13 +326,11 @@ class TestRunRound:
             ],
             [make_gt(100, center=(60.0, 50.0), pixel_height=60.0)],
         )
-        oracle = OracleIndex(data, fresh_state())
         cfg = round_config((1,), kind="confidence")
         message = r"^the round's pool needs pred_depth on every instance; missing on 1 of 2, first \[1\]$"
         with pytest.raises(ValueError, match=message):
-            run_round(fresh_state(), data, cfg, list(data.instances), oracle=oracle)
-        assert oracle.round_index == 0
-        _, log = run_round(fresh_state(), data, cfg, data.instances[:1], oracle=oracle)
+            run_round(fresh_state(), data, cfg, list(data.instances))
+        _, log = run_round(fresh_state(), data, cfg, data.instances[:1])
         assert [ev.outcome for ev in log.events] == ["matched"]
 
     @pytest.mark.parametrize("kind,seed", [("random", 2), ("coreset", 0)])
@@ -664,7 +666,7 @@ class TestOneCoveragePerCampaign:
             rng_seed=cfg.strategy.seed,
         )
         for _ in cfg.round_budgets:
-            ref, log = run_round(ref, data, cfg, pool_of(ref, data), coverage=None)
+            ref, log = run_round(ref, data, cfg, pool_of(ref, data))
             if log.charged == 0:
                 break
         assert [log.events for log in ref.history] == [log.events for log in state.history]
@@ -908,7 +910,7 @@ class TestOracleIndex:
         seeded_gt = frozenset(g.gt_id for g in data.ground_truth if g.image_id in state.labeled_images)
         ref = RoundState(0, seeded_gt, 0, state.labeled_images, cfg.strategy.seed)
         for log in state.history:
-            ref, ref_log = run_round(ref, data, cfg, pool_of(ref, data), oracle=None)
+            ref, ref_log = run_round(ref, data, cfg, pool_of(ref, data))
             assert ref_log.events == log.events
 
     def test_radii_once_and_one_scan_per_request_not_remembered(self, monkeypatch):
@@ -968,23 +970,6 @@ class TestOracleIndex:
         with pytest.raises(ValueError, match=r"^campaign needs pred_depth > 0; instance 1 has -2.0$"):
             run_campaign(cfg, data, lambda lab, pool: 0.0)
 
-    def test_index_under_another_h_scale_refused(self):
-        data = build_dataset(
-            [make_record(i, center=(60.0 * (i + 1), 50.0), pred_depth=10.0, size=(10, 10)) for i in range(2)],
-            [make_gt(100 + i, center=(60.0 * (i + 1), 50.0), pixel_height=60.0) for i in range(2)],
-        )
-        state = fresh_state()
-        oracle = OracleIndex(data, state)
-        assert oracle.h_scale is None
-        state, _ = run_round(state, data, round_config((1, 2)), list(data.instances), oracle=oracle)
-        assert oracle.h_scale == 2.0
-        with pytest.raises(ValueError, match="oracle index was used under h_scale 2.0, this round has 3.0"):
-            run_round(state, data, round_config((1, 2), h_scale=3.0), pool_of(state, data), oracle=oracle)
-        # Refused before the index is touched: it still runs under its own scale.
-        assert oracle.round_index == 1
-        _, log = run_round(state, data, round_config((1, 2)), pool_of(state, data), oracle=oracle)
-        assert [ev.outcome for ev in log.events] == ["matched"]
-
     @pytest.mark.parametrize("axis", [0, 1])
     @pytest.mark.parametrize("side", [1.0, -1.0])
     def test_window_boundary_is_inclusive(self, axis, side):
@@ -1034,41 +1019,14 @@ class TestOracleIndex:
             [make_record(i, center=(60.0 * (i + 1), 50.0), pred_depth=10.0) for i in range(2)],
             [make_gt(100 + i, center=(60.0 * (i + 1), 50.0)) for i in range(2)],
         )
-        assert OracleIndex(replace(data, instances=NoPass(data.instances)), fresh_state()).priors == {}
+        # The index reads the depths through ``Dataset.column``; with that
+        # column given up front, only a search for priors passes over the
+        # records.
+        no_pass = replace(data, instances=NoPass(data.instances))
+        no_pass._columns["pred_depth"] = data.column("pred_depth")
+        assert OracleIndex(no_pass, fresh_state(), 2.0).priors == {}
         charged = replace(fresh_state(), charged_ids=frozenset({1}))
-        assert OracleIndex(data, charged).priors == {("img0", 0): [((120.0, 50.0), 0)]}
-
-    def test_index_of_another_round_refused(self):
-        data = build_dataset(
-            [make_record(i, center=(60.0 * (i + 1), 50.0), pred_depth=10.0, size=(10, 10)) for i in range(2)],
-            [make_gt(100 + i, center=(60.0 * (i + 1), 50.0), pixel_height=60.0) for i in range(2)],
-        )
-        cfg = round_config((1, 2))
-        state = fresh_state()
-        oracle = OracleIndex(data, state)
-        new_state, _ = run_round(state, data, cfg, list(data.instances), oracle=oracle)
-        assert oracle.round_index == 1
-        with pytest.raises(ValueError, match="oracle index is at round 1, state at round 0"):
-            run_round(state, data, cfg, list(data.instances), oracle=oracle)
-        _, log = run_round(new_state, data, cfg, pool_of(new_state, data), oracle=oracle)
-        assert [ev.outcome for ev in log.events] == ["matched"]
-
-    def test_index_of_another_dataset_refused(self):
-        # Two datasets of the same shape: an index of one, handed to a
-        # round of the other, used to match that round's requests against
-        # the wrong ground truth.
-        a = generate_synthetic(SyntheticSpec(2, 10), seed=0)
-        b = generate_synthetic(SyntheticSpec(2, 10), seed=1)
-        state = fresh_state()
-        cfg = round_config((5,), kind="random")
-        oracle = OracleIndex(a, state)
-        with pytest.raises(ValueError, match="^oracle index was built from another dataset$"):
-            run_round(state, b, cfg, list(b.instances), oracle=oracle)
-        assert (oracle.round_index, oracle.h_scale, oracle.radii) == (0, None, None)
-        _, log = run_round(state, b, cfg, list(b.instances))
-        assert [(ev.outcome, ev.gt_id) for ev in log.events] == [("matched", g) for g in (12, 9, 13, 14, 19)]
-        _, log = run_round(state, a, cfg, list(a.instances), oracle=oracle)
-        assert log.matched == 5 and oracle.round_index == 1
+        assert OracleIndex(data, charged, 2.0).priors == {("img0", 0): [((120.0, 50.0), 0)]}
 
 
 def _nudged(value: float, steps: int) -> float:
