@@ -519,10 +519,15 @@ def write_dataset(dataset: Dataset | _Columns, manifest_path) -> None:
     byte-identical because vectors are stored as float32 on both sides.
     The blobs and then the manifest are moved into place only once all of
     them are written, so a failed write leaves none of them behind.
+    Raises ``DatasetError``, writing nothing, naming the first view that
+    some instance lacks or holds at another dimension than declared.
     """
     c = dataset if isinstance(dataset, _Columns) else _Columns.stack(dataset)
     manifest_path = Path(manifest_path)
     blobs = {v.name: _blob_name(i, v.name) for i, v in enumerate(c.views)}
+    for view in blobs:
+        if view not in c.matrices:
+            raise DatasetError(f"view {view!r}: not every instance has a vector of the declared dimension")
     header = {
         "kind": "header",
         "views": [{"name": v.name, "dim": v.dim, "lambda": v.lam} for v in c.views],

@@ -85,13 +85,15 @@ def match_request(
     still charges as a false-positive request.
     """
     rad = labeling_radius(cam, pred_depth, h_scale)
-    return _match(req_center, gts, rad.r_x, rad.r_y, min_px_height)
+    gt, distance = _match(req_center, gts, rad.r_x, rad.r_y, min_px_height)
+    return MatchResult(gt_id=None) if gt is None else MatchResult(gt.gt_id, distance)
 
 
 def _match(
     req_center: tuple[float, float], gts: Sequence[GroundTruthObject], r_x: float, r_y: float, min_px_height: float
-) -> MatchResult:
-    """``match_request`` inside the window of radii ``r_x`` and ``r_y``."""
+) -> tuple[GroundTruthObject | None, float]:
+    """``match_request`` inside the window of radii ``r_x`` and ``r_y``:
+    the winning object and its distance, or ``None`` and infinity."""
     best_gt: GroundTruthObject | None = None
     best_d = math.inf
     for gt in gts:
@@ -104,9 +106,7 @@ def _match(
         d = math.hypot(dx, dy)
         if d < best_d or (d == best_d and best_gt is not None and gt.gt_id < best_gt.gt_id):
             best_gt, best_d = gt, d
-    if best_gt is None:
-        return MatchResult(gt_id=None)
-    return MatchResult(gt_id=best_gt.gt_id, distance=best_d)
+    return best_gt, best_d
 
 
 def suppress_duplicate(

@@ -274,10 +274,6 @@ class _Columns:
         )
 
 
-def _finite(*values: float) -> bool:
-    return all(math.isfinite(v) for v in values)
-
-
 def _whole(value) -> int:
     """``value`` as an int: 3, 3.0 and numpy numbers like them pass; a
     fraction, a non-finite float, a boolean, a string or anything else
@@ -318,28 +314,58 @@ def _outside_int64(ids) -> list[bool] | None:
     return [not lo <= i < hi for i in ids]
 
 
-def _repeats(ids: list) -> set[int]:
-    """The rows whose id an earlier row already has."""
+def _repeats(ids: list) -> list[bool] | None:
+    """Per id, whether an earlier row already has it; ``None`` when every
+    id is unique, which one set settles without a pass per id."""
     if len(set(ids)) == len(ids):
-        return set()
-    seen: set = set()
-    rows = set()
-    for i, x in enumerate(ids):
-        if x in seen:
-            rows.add(i)
-        seen.add(x)
-    return rows
+        return None
+    first: dict = {}
+    return [first.setdefault(x, i) != i for i, x in enumerate(ids)]
+
+
+def _float(value) -> float:
+    try:
+        return math.nan if value is None else float(value)
+    except OverflowError:
+        return math.nan
+
+
+def _floats(values) -> np.ndarray:
+    """``values``, a list or a list of equal-length lists, as float64.
+    ``None``, and an int too large for a float64, read as NaN, which fails
+    every test."""
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        return np.frompyfunc(_float, 1, 1)(np.array(values, dtype=object)).astype(np.float64)
 
 
 def _fails(values: list, ok, optional: bool = False) -> np.ndarray:
-    """The mask of the rows whose value, read as float64, fails ``ok``;
+    """The mask of the rows whose value, read by ``_floats``, fails ``ok``;
     with ``optional``, rows whose value is ``None`` pass."""
-    a = np.array(values, dtype=np.float64)  # None reads as NaN, which fails every test
-    bad = ~ok(a)
+    bad = ~ok(_floats(values))
     if optional:
         rows = np.flatnonzero(bad)
         bad[rows] = [values[i] is not None for i in rows.tolist()]
     return bad
+
+
+def _non_finite(rows: list) -> list[bool] | None:
+    """Per row, a tuple of numbers or ``None``, whether some number is not
+    finite; ``None`` when all are, which one pass over every number settles."""
+    if np.isfinite(_floats(list(chain.from_iterable(filter(None, rows))))).all():
+        return None
+    return [r is not None and not np.isfinite(_floats(r)).all() for r in rows]
+
+
+def _violations(kind: str, ids: list, rules: list) -> list[str]:
+    """The messages of ``rules``, each a pair of a row mask (``None`` flags
+    no row) and the message for row ``i``, tagged with ``kind`` and the
+    row's id: row by row, and within a row in rule order."""
+    flagged = sorted(
+        (i, k) for k, (mask, _) in enumerate(rules) if mask is not None for i in np.flatnonzero(mask).tolist()
+    )
+    return [f"{kind} {ids[i]}: {rules[k][1](i)}" for i, k in flagged]
 
 
 def validate_dataset(d: Dataset | _Columns) -> list[str]:
@@ -350,9 +376,9 @@ def validate_dataset(d: Dataset | _Columns) -> list[str]:
     Note the 25-px minimum height is a selection-time rule, so short
     ground-truth objects are not flagged here.
 
-    ``d`` is a dataset or its columns. Each rule is first tested over a
-    whole column; the messages are then made, record by record, for the
-    rows some test flagged.
+    ``d`` is a dataset or its columns. Each rule is stated once, as a test
+    over a whole column paired with the message for a row it flags; the
+    messages come row by row, and within a row in rule order.
     """
     c = d if isinstance(d, _Columns) else _Columns.stack(d)
     violations: list[str] = []
@@ -370,75 +396,36 @@ def validate_dataset(d: Dataset | _Columns) -> list[str]:
         if not 0 <= v.lam < math.inf:
             violations.append(f"view {v.name!r}: lambda must be finite and >= 0, got {v.lam}")
 
-    n = len(c.instance_id)
-    repeated = _repeats(c.instance_id)
-    box = np.array([c.cx, c.cy, c.w, c.h], dtype=np.float64)
-    flagged = ~np.isfinite(box).all(axis=0) | (box[2] < 0) | (box[3] < 0)
-    flagged |= _fails(c.pred_depth, lambda a: (0 < a) & (a < math.inf), optional=True)
-    flagged |= _fails(c.confidence, lambda a: (0 <= a) & (a <= 1), optional=True)
-    aux = np.fromiter(chain.from_iterable(filter(None, c.aux_depths)), dtype=np.float64)
-    if not np.isfinite(aux).all():
-        flagged |= [a is not None and not all(map(math.isfinite, a)) for a in c.aux_depths]
-    flagged[list(repeated)] = True
-    wide = _outside_int64(c.instance_id)
-    if wide:
-        flagged |= wide
-    if not c.images.keys() >= set(c.image_id):
-        flagged |= [image_id not in c.images for image_id in c.image_id]
-    misshapen = []
+    box = _floats([c.cx, c.cy, c.w, c.h])
+    non_finite = ~np.isfinite(box).all(axis=0)
+    unknown = None if c.images.keys() >= set(c.image_id) else [x not in c.images for x in c.image_id]
+    pred_depth = _fails(c.pred_depth, lambda a: (0 < a) & (a < math.inf), optional=True)
+    confidence = _fails(c.confidence, lambda a: (0 <= a) & (a <= 1), optional=True)
+    rules = [
+        (_repeats(c.instance_id), lambda i: "duplicate instance_id"),
+        (_outside_int64(c.instance_id), lambda i: "instance_id must be within int64"),
+        (unknown, lambda i: f"image_id {c.image_id[i]!r} not in dataset images"),
+        (non_finite, lambda i: "box2d coordinates must be finite"),
+        (~non_finite & ((box[2] < 0) | (box[3] < 0)), lambda i: "box2d width/height must be >= 0"),
+        (pred_depth, lambda i: f"pred_depth must be finite and > 0, got {c.pred_depth[i]}"),
+        (_non_finite(c.aux_depths), lambda i: f"aux_depths must be finite, got {c.aux_depths[i]}"),
+        (confidence, lambda i: f"confidence must be in [0, 1], got {c.confidence[i]}"),
+    ]
     for v in c.views:
         shapes = c.feature_shapes.get(v.name)
-        if shapes is not None and shapes.count((v.dim,)) != n:
-            misshapen.append((v, shapes))
-            flagged |= [s != (v.dim,) for s in shapes]
+        if shapes is not None and shapes.count((v.dim,)) != len(shapes):
+            rules.append(([s is None for s in shapes], lambda i, v=v: f"missing feature view {v.name!r}"))
+            wrong = [s is not None and s != (v.dim,) for s in shapes]
+            rules.append((wrong, lambda i, v=v, s=shapes: f"view {v.name!r} has dimension {s[i]}, declared {v.dim}"))
+    violations += _violations("instance", c.instance_id, rules)
 
-    for i in np.flatnonzero(flagged).tolist():
-        tag = f"instance {c.instance_id[i]}"
-        if i in repeated:
-            violations.append(f"{tag}: duplicate instance_id")
-        if wide and wide[i]:
-            violations.append(f"{tag}: instance_id must be within int64")
-        if c.image_id[i] not in c.images:
-            violations.append(f"{tag}: image_id {c.image_id[i]!r} not in dataset images")
-        if not _finite(c.cx[i], c.cy[i], c.w[i], c.h[i]):
-            violations.append(f"{tag}: box2d coordinates must be finite")
-        elif c.w[i] < 0 or c.h[i] < 0:
-            violations.append(f"{tag}: box2d width/height must be >= 0")
-        # Chained comparisons against inf also refuse NaN, without a call.
-        pred_depth, aux_depths, confidence = c.pred_depth[i], c.aux_depths[i], c.confidence[i]
-        if pred_depth is not None and not 0 < pred_depth < math.inf:
-            violations.append(f"{tag}: pred_depth must be finite and > 0, got {pred_depth}")
-        if aux_depths is not None and not all(map(math.isfinite, aux_depths)):
-            violations.append(f"{tag}: aux_depths must be finite, got {aux_depths}")
-        if confidence is not None and not 0.0 <= confidence <= 1.0:
-            violations.append(f"{tag}: confidence must be in [0, 1], got {confidence}")
-        for v, shapes in misshapen:
-            if shapes[i] is None:
-                violations.append(f"{tag}: missing feature view {v.name!r}")
-            elif shapes[i] != (v.dim,):
-                violations.append(f"{tag}: view {v.name!r} has dimension {shapes[i]}, declared {v.dim}")
-
-    m = len(c.gt_id)
-    repeated = _repeats(c.gt_id)
-    flagged = ~np.isfinite(np.array(c.center2d, dtype=np.float64).reshape(m, 2)).all(axis=1)
-    flagged |= _fails(c.depth, lambda a: (0 < a) & (a < math.inf))
-    flagged |= _fails(c.pixel_height, lambda a: (0 <= a) & (a < math.inf))
-    flagged[list(repeated)] = True
-    wide = _outside_int64(c.gt_id)
-    if wide:
-        flagged |= wide
-    for i in np.flatnonzero(flagged).tolist():
-        tag = f"gt {c.gt_id[i]}"
-        if i in repeated:
-            violations.append(f"{tag}: duplicate gt_id")
-        if wide and wide[i]:
-            violations.append(f"{tag}: gt_id must be within int64")
-        center2d, depth, pixel_height = c.center2d[i], c.depth[i], c.pixel_height[i]
-        if not (math.isfinite(center2d[0]) and math.isfinite(center2d[1])):
-            violations.append(f"{tag}: center2d must be finite, got {center2d}")
-        if not 0 < depth < math.inf:
-            violations.append(f"{tag}: depth must be finite and > 0, got {depth}")
-        if not 0 <= pixel_height < math.inf:
-            violations.append(f"{tag}: pixel_height must be finite and >= 0, got {pixel_height}")
-
-    return violations
+    depth = _fails(c.depth, lambda a: (0 < a) & (a < math.inf))
+    pixel_height = _fails(c.pixel_height, lambda a: (0 <= a) & (a < math.inf))
+    rules = [
+        (_repeats(c.gt_id), lambda i: "duplicate gt_id"),
+        (_outside_int64(c.gt_id), lambda i: "gt_id must be within int64"),
+        (_non_finite(c.center2d), lambda i: f"center2d must be finite, got {c.center2d[i]}"),
+        (depth, lambda i: f"depth must be finite and > 0, got {c.depth[i]}"),
+        (pixel_height, lambda i: f"pixel_height must be finite and >= 0, got {c.pixel_height[i]}"),
+    ]
+    return violations + _violations("gt", c.gt_id, rules)

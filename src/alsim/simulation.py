@@ -455,14 +455,15 @@ def _run_round(
 
         truth = truth_of.get(image)
         candidates = truth.window(center, r_x, r_y) if truth is not None else []
-        result = _match(center, candidates, r_x, r_y, cfg.min_px_height)
+        gt, _ = _match(center, candidates, r_x, r_y, cfg.min_px_height)
         priors.append((center, cls))
         charged += 1
-        if result.matched:
-            truth.close(next(g for g in candidates if g.gt_id == result.gt_id))
+        if gt is None:
+            events.append(RequestEvent(round_index, iid, image, "null", None, True))
+        else:
+            truth.close(gt)
             matched_rows.append(row)
-        outcome = "matched" if result.matched else "null"
-        events.append(RequestEvent(round_index, iid, image, outcome, result.gt_id, True))
+            events.append(RequestEvent(round_index, iid, image, "matched", gt.gt_id, True))
         if state.requested_total + charged >= target:
             break
 

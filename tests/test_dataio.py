@@ -178,6 +178,17 @@ class TestManifestRoundTrip:
         assert written == [0, 1]
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_view_some_record_lacks_is_named_and_nothing_written(self, tmp_path):
+        views = (ViewSpec("a", 2, 0.5), ViewSpec("b", 3, 0.5))
+        records = [
+            make_record(0, features={"a": [1.0, 2.0], "b": [0.1, 0.2, 0.3]}),
+            make_record(1, features={"a": [3.0, 4.0]}),
+        ]
+        data = build_dataset(records, [make_gt(10)], views=views)
+        with pytest.raises(DatasetError, match="^view 'b': not every instance has a vector of the declared dimension$"):
+            write_dataset(data, tmp_path / "out" / "manifest.jsonl")
+        assert list(tmp_path.iterdir()) == []
+
     def test_synthetic_dataset_roundtrip(self, tmp_path):
         data = generate_synthetic(SyntheticSpec(clusters=3, per_cluster=4), seed=8)
         manifest = tmp_path / "manifest.jsonl"

@@ -58,6 +58,10 @@ class TestValidateDataset:
         data = build_dataset([two_view_record(0, confidence=1.5)], [], views=VIEWS)
         assert any("confidence" in v for v in validate_dataset(data))
 
+    def test_confidence_too_large_for_a_float_flagged(self):
+        data = build_dataset([two_view_record(0, confidence=10**400)], [make_gt(1)], views=VIEWS)
+        assert validate_dataset(data) == [f"instance 0: confidence must be in [0, 1], got {10**400}"]
+
     def test_missing_optional_fields_allowed(self):
         data = build_dataset(
             [two_view_record(0, confidence=None, pred_depth=None)], [], views=VIEWS
@@ -77,6 +81,13 @@ class TestValidateDataset:
             ({}, {"pixel_height": float("nan")}, "gt 1", "pixel_height"),
             ({}, {"center": (float("nan"), float("inf"))}, "gt 1", "center2d"),
             ({}, {"center": (10.0, float("-inf"))}, "gt 1", "center2d"),
+            # Ints too large for a float64 count as not finite.
+            ({"pred_depth": 10**400}, {}, "instance 0", "pred_depth"),
+            ({"aux_depths": (12.0, 10**400)}, {}, "instance 0", "aux_depths"),
+            ({"center": (10**400, 100.0)}, {}, "instance 0", "box2d"),
+            ({}, {"depth": 10**400}, "gt 1", "depth"),
+            ({}, {"pixel_height": 10**400}, "gt 1", "pixel_height"),
+            ({}, {"center": (10**400, 100.0)}, "gt 1", "center2d"),
         ],
     )
     def test_non_finite_scalars_flagged(self, record, gt, tag, field):
